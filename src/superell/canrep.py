@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curve import CurveAutomorphism, InvalidCurveError
-from .ff import FieldDescriptor, is_prime, lift_to, make_field
+from .ff import FieldDescriptor, _prime_divisors, is_prime, lift_to, make_field
 from .linalg import FieldMatrix, is_invariant_subspace, spin
 from .poly import Polynomial
 
@@ -87,20 +87,6 @@ def zeta_of_order(K: FieldDescriptor, m: int):
         if z**m == K.one() and all(z ** (m // r) != K.one() for r in prime_divs):
             return z
     raise AssertionError("unreachable: cyclic group has elements of each order")
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> FieldMatrix:
@@ -250,10 +236,15 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
     gens3.append((("scaling", ), [[zeta, zero, zero], [zero, one, zero], [zero, zero, one]]))
     gens3.append((("rotation", ), [[zero, one, zero], [zero, zero, one], [one, zero, zero]]))
     gens3.append((("swap", ), [[zero, one, zero], [one, zero, zero], [zero, zero, one]]))
-    u, v = _unit_norm_pair(K, p)
-    gens3.append(
-        (("mixer", ), [[u, -(v**p), zero], [v, u**p, zero], [zero, zero, one]])
-    )
+    pair = _unit_norm_pair(K, p)
+    # p = 2 has no pair: u^3 + v^3 = 1 in F_4 forces u = 0 or v = 0, since
+    # every nonzero cube is 1; the module is then one-dimensional and the
+    # other generators suffice
+    if pair is not None:
+        u, v = pair
+        gens3.append(
+            (("mixer", ), [[u, -(v**p), zero], [v, u**p, zero], [zero, zero, one]])
+        )
     mats = []
     labels = []
     for (label, ), rows in gens3:
@@ -268,7 +259,8 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
 
 
 def _unit_norm_pair(K, p: int):
-    """Deterministic u, v in K with u^(p+1) + v^(p+1) = 1, both nonzero."""
+    """Deterministic u, v in K with u^(p+1) + v^(p+1) = 1, both nonzero;
+    None when no such pair exists."""
     one = K.one()
     for u in K.elements():
         if u.is_zero():
@@ -279,7 +271,7 @@ def _unit_norm_pair(K, p: int):
         for v in K.elements():
             if not v.is_zero() and v ** (p + 1) == target:
                 return u, v
-    raise AssertionError("unreachable: the norm map onto F_p is surjective")
+    return None
 
 
 @dataclass(frozen=True)

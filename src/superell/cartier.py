@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import HYPERELLIPTIC, SuperellipticCurve, UnsupportedModelError, count_points, genus
+from .curve import SuperellipticCurve, UnsupportedModelError, count_points, genus
 from .linalg import FieldMatrix
 from .poly import poly_pow
 
@@ -20,9 +20,9 @@ from .poly import poly_pow
 class InseparableModelError(UnsupportedModelError):
     """y^2 = f(x) is not a separable model in characteristic 2.
 
-    The coefficient recipe would return the zero matrix (every extracted
-    monomial vanishes), which corresponds to the supersingular degenerate
-    case; it is reported as an error rather than silently classified.
+    No model reaches this: the curve constructor already rejects
+    gcd(m, p) != 1, so y^2 = f(x) never exists over F_2.  The name stays
+    exported for callers that catch it.
     """
 
 
@@ -46,10 +46,8 @@ class PRankClass:
 
 def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
     """The g x g Frobenius matrix of a hyperelliptic curve, p odd."""
-    if X.kind != HYPERELLIPTIC:
+    if X.m != 2:
         raise UnsupportedModelError("Hasse-Witt recipe implemented for y^2 = f(x)")
-    if X.p == 2:
-        raise InseparableModelError("y^2 = f(x) is inseparable in characteristic 2")
     g = genus(X)
     fpow = poly_pow(X.f, (X.p - 1) // 2)
     rows = []
@@ -99,5 +97,10 @@ def crosscheck_superspecial(X: SuperellipticCurve) -> CrosscheckReport:
         raise UnsupportedModelError("cross-check runs on curves defined over F_p")
     verdict = classify_p_rank(hasse_witt(X))
     pc = count_points(X, 2)
-    consistent = verdict.verdict != "superspecial" or pc.status in ("maximal", "minimal")
-    return CrosscheckReport(p_rank=verdict, count_e2=pc, consistent=consistent)
+    return CrosscheckReport(p_rank=verdict, count_e2=pc, consistent=superspecial_consistent(verdict, pc))
+
+
+def superspecial_consistent(verdict: PRankClass, count_e2) -> bool:
+    """False exactly when a superspecial verdict meets an F_{p^2} count
+    that attains neither Weil bound."""
+    return verdict.verdict != "superspecial" or count_e2.status in ("maximal", "minimal")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import canrep, casecheck, cartier, curve as curvemod, ramify
 from .exprparse import ParseError, parse_curve, render_poly
 from .ff import NonPrimeModulusError
-from .curve import HYPERELLIPTIC, InvalidCurveError, UnsupportedModelError
+from .curve import InvalidCurveError, UnsupportedModelError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,10 +73,7 @@ def cmd_classify(args) -> int:
     if not e_list:
         e_list = [2]
     g = curvemod.genus(X)
-    counts = []
-    for e in e_list:
-        pc = curvemod.count_points(X, e)
-        counts.append(pc)
+    counts = [curvemod.count_points(X, e) for e in e_list]
     results = {
         "curve": {
             "p": X.p,
@@ -98,28 +95,28 @@ def cmd_classify(args) -> int:
     for pc in counts:
         status = f"  ({pc.status})" if pc.status else ""
         lines.append(f"points over F_{X.p}^{pc.e}: {pc.count}{status}")
-    if X.kind == HYPERELLIPTIC and X.p != 2:
-        report = cartier.crosscheck_superspecial(X)
+    if X.m == 2:
         hw = cartier.hasse_witt(X)
+        p_rank = cartier.classify_p_rank(hw)
+        count_e2 = counts[e_list.index(2)] if 2 in e_list else curvemod.count_points(X, 2)
+        consistent = cartier.superspecial_consistent(p_rank, count_e2)
         results["hasse_witt"] = {
             "basis": list(hw.basis_labels),
             "entries": _matrix_json(hw.matrix),
         }
         results["p_rank"] = {
-            "stable_rank": report.p_rank.stable_rank,
-            "verdict": report.p_rank.verdict,
+            "stable_rank": p_rank.stable_rank,
+            "verdict": p_rank.verdict,
         }
-        results["superspecial_consistent"] = report.consistent
+        results["superspecial_consistent"] = consistent
         provenance += [
             "frobenius-coefficient-matrix",
             "semilinear-stable-rank",
             "superspecial-count-consistency",
         ]
-        lines.append(
-            f"p-rank: {report.p_rank.stable_rank} of {g}  -> {report.p_rank.verdict}"
-        )
-        lines.append(f"count consistency with verdict: {report.consistent}")
-        if not report.consistent:
+        lines.append(f"p-rank: {p_rank.stable_rank} of {g}  -> {p_rank.verdict}")
+        lines.append(f"count consistency with verdict: {consistent}")
+        if not consistent:
             exit_code = EXIT_INFEASIBLE
     report_obj = _report("classify", {"curve": args.curve, "e": e_list}, results, provenance)
     _emit(report_obj, args.json, lines)
@@ -185,8 +182,14 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-_CASE_KINDS = {"case-I": "I", "case-II-a": "II-a", "case-II-b": "II-b",
-               "case-II-c": "II-c", "case-IV-final": "IV-final"}
+# --kind -> (case id, the parameters its closed form reads)
+_CASE_KINDS = {
+    "case-I": ("I", ("g", "a", "d")),
+    "case-II-a": ("II-a", ("g", "q", "q_prime", "b2")),
+    "case-II-b": ("II-b", ("g", "a", "q_prime", "b2")),
+    "case-II-c": ("II-c", ("g", "q", "b1", "b2")),
+    "case-IV-final": ("IV-final", ("p", "n")),
+}
 
 
 def cmd_bounds(args) -> int:
@@ -203,12 +206,13 @@ def cmd_bounds(args) -> int:
         lines = [f"certified ordinary-curve bound at genus {args.g}: {value}"]
         provenance = ["isqrt-bracketed-bound"]
     elif args.kind in _CASE_KINDS:
-        params = {}
-        for name in ("g", "a", "d", "q", "q_prime", "b1", "b2", "p", "n"):
-            v = getattr(args, name, None)
-            if v is not None:
-                params[name] = v
-        report = casecheck.case_closed_forms(_CASE_KINDS[args.kind], params)
+        case_id, needed = _CASE_KINDS[args.kind]
+        missing = [name for name in needed if getattr(args, name) is None]
+        if missing:
+            flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+            raise UsageError(f"--kind {args.kind} needs {flags}")
+        params = {name: getattr(args, name) for name in needed}
+        report = casecheck.case_closed_forms(case_id, params)
         results = {
             "formula": report.formula_id,
             "value": _jnum(report.value),

@@ -1,14 +1,20 @@
 """Superelliptic curve models y^m = f(x): genus, point counts, automorphisms.
 
-Two kinds of model get full support:
+One model covers every curve: y^m = f(x) over F_q with m >= 2,
+gcd(m, p) = 1 and f squarefree of degree d >= 1.  Its smooth projective
+model has genus
 
-* ``hyperelliptic``      -- m = 2 with squarefree f, odd characteristic;
-* ``artin-schreier-quotient`` -- y^m = x^p - x with m | p+1, the family
-  whose automorphisms are generated by a vertical root-of-unity map and
-  lifts of SL(2, F_p) acting on the x-line.
+    g = ((m - 1)(d - 1) + 1 - gcd(m, d)) / 2
 
-Anything else is ``general`` and is rejected by the operations that would
-have to guess a normalization.
+and, with delta = gcd(m, d), its points above x = infinity correspond to
+the roots u of u^delta = lc(f), so #{u in K : u^delta = lc(f)} of them
+are K-rational.
+
+``kind`` is a derived label, not a parameter: ``hyperelliptic`` when
+m = 2 (the Frobenius-matrix machinery applies), ``artin-schreier-quotient``
+for y^m = x^p - x over F_p with m | p+1 and m > 2 (the family whose
+automorphisms are generated by a vertical root-of-unity map and lifts of
+SL(2, F_p) acting on the x-line), and ``general`` otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ INFINITY_CONJ = ("inf", 1)
 
 
 class UnsupportedModelError(ValueError):
-    """The requested operation is only defined for the supported kinds."""
+    """The requested operation is not defined for this model."""
 
 
 class InvalidCurveError(ValueError):
@@ -50,50 +56,47 @@ def point_sort_key(point):
 
 
 class SuperellipticCurve:
-    """The data (p, m, f) of y^m = f(x), with a validated model kind."""
+    """The data (p, m, f) of y^m = f(x), validated at construction."""
 
-    __slots__ = ("m", "f", "kind", "field", "p")
+    __slots__ = ("m", "f", "field", "p")
 
-    def __init__(self, m: int, f: Polynomial, kind: Optional[str] = None):
-        if m < 2:
-            raise InvalidCurveError(f"exponent m must be >= 2, got {m}")
-        if f.is_zero():
-            raise InvalidCurveError("right-hand side polynomial is zero")
+    def __init__(self, m: int, f: Polynomial):
         field = f.field
         p = field.p
+        if m < 2:
+            raise InvalidCurveError(f"exponent m must be >= 2, got {m}")
         if math.gcd(m, p) != 1:
-            raise InvalidCurveError(f"gcd(m, p) = gcd({m}, {p}) != 1")
-        if kind is None:
-            kind = infer_kind(m, f)
-        if kind == HYPERELLIPTIC:
-            if m != 2:
-                raise InvalidCurveError("hyperelliptic kind requires m = 2")
-            if not is_squarefree(f):
-                raise InvalidCurveError("hyperelliptic model needs squarefree f")
-        elif kind == ASQ:
-            if field.k != 1:
-                raise InvalidCurveError("y^m = x^p - x model is taken over F_p")
-            if f != _artin_schreier_poly(field):
-                raise InvalidCurveError("kind requires f = x^p - x exactly")
-            if (p + 1) % m != 0:
-                raise InvalidCurveError(f"m = {m} does not divide p + 1 = {p + 1}")
-        elif kind != GENERAL:
-            raise InvalidCurveError(f"unknown curve kind {kind!r}")
+            raise InvalidCurveError(
+                f"gcd(m, p) = gcd({m}, {p}) != 1: the model y^m = f(x) "
+                "is inseparable over characteristic p"
+            )
+        if f.degree < 1:
+            raise InvalidCurveError("right-hand side f must have degree >= 1")
+        if not is_squarefree(f):
+            raise InvalidCurveError("right-hand side f must be squarefree")
         self.m = m
         self.f = f
-        self.kind = kind
         self.field = field
         self.p = p
+
+    @property
+    def kind(self) -> str:
+        """Derived label: hyperelliptic, artin-schreier-quotient or general."""
+        if self.m == 2:
+            return HYPERELLIPTIC
+        if self.in_quotient_family():
+            return ASQ
+        return GENERAL
 
     def in_quotient_family(self) -> bool:
         """True when the model is y^m = x^p - x over F_p with m | p+1.
 
-        The m = 2 member is classified hyperelliptic (that kind carries
-        the Frobenius-matrix machinery) but still belongs to the family,
-        so the family automorphisms act on it.
+        The m = 2 member is labelled hyperelliptic but still belongs to
+        the family, so the family automorphisms act on it.
         """
         return (
-            self.field.k == 1
+            self.f.degree == self.p
+            and self.field.k == 1
             and (self.p + 1) % self.m == 0
             and self.f == _artin_schreier_poly(self.field)
         )
@@ -105,15 +108,10 @@ class SuperellipticCurve:
         return (self.p + 1) // self.m
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SuperellipticCurve)
-            and self.m == other.m
-            and self.f == other.f
-            and self.kind == other.kind
-        )
+        return isinstance(other, SuperellipticCurve) and self.m == other.m and self.f == other.f
 
     def __hash__(self):
-        return hash((self.m, self.f, self.kind))
+        return hash((self.m, self.f))
 
     def __repr__(self):
         return f"y^{self.m} = {self.f!r} over {self.field!r} [{self.kind}]"
@@ -124,26 +122,10 @@ def _artin_schreier_poly(field: FieldDescriptor) -> Polynomial:
     return Polynomial(field, [0, -1] + [0] * (p - 2) + [1])
 
 
-def infer_kind(m: int, f: Polynomial) -> str:
-    field = f.field
-    if m == 2 and not f.is_zero() and is_squarefree(f):
-        return HYPERELLIPTIC
-    if (
-        field.k == 1
-        and f == _artin_schreier_poly(field)
-        and (field.p + 1) % m == 0
-    ):
-        return ASQ
-    return GENERAL
-
-
 def genus(X: SuperellipticCurve) -> int:
-    """Genus of the smooth projective model, for the two supported kinds."""
-    if X.kind == HYPERELLIPTIC:
-        return (X.f.degree - 1) // 2
-    if X.kind == ASQ:
-        return (X.p - 1) * (X.m - 1) // 2
-    raise UnsupportedModelError("genus implemented for the two validated kinds only")
+    """Genus of the smooth projective model: ((m-1)(d-1) + 1 - gcd(m, d)) / 2."""
+    d = X.f.degree
+    return ((X.m - 1) * (d - 1) + 1 - math.gcd(X.m, d)) // 2
 
 
 @dataclass(frozen=True)
@@ -165,18 +147,16 @@ def _extension_for(X: SuperellipticCurve, e: int) -> FieldDescriptor:
 
 
 def count_infinite_points(X: SuperellipticCurve, K: FieldDescriptor) -> int:
-    """Rational points at infinity of the smooth model over K."""
-    if X.kind == ASQ:
-        return 1
-    if X.kind == HYPERELLIPTIC:
-        if X.f.degree % 2 == 1:
-            return 1
-        # two conjugate points; rational exactly when the leading
-        # coefficient is a square in K
-        q = K.order
-        lc = lift_to(X.f.leading(), K)
-        return 2 if (lc ** ((q - 1) // 2)) == K.one() else 0
-    raise UnsupportedModelError("infinity normalization unknown for kind general")
+    """Rational points at infinity of the smooth model over K.
+
+    They number #{u in K : u^delta = lc(f)} with delta = gcd(m, deg f):
+    by the same power-character test as the affine fibers, gcd(delta,
+    q-1) roots when lc(f) is a delta-th power in F_q^x and none otherwise.
+    """
+    q = K.order
+    n = math.gcd(X.m, X.f.degree, q - 1)
+    lc = lift_to(X.f.leading(), K)
+    return n if lc ** ((q - 1) // n) == K.one() else 0
 
 
 def count_points(X: SuperellipticCurve, e: int) -> PointCount:
@@ -187,8 +167,6 @@ def count_points(X: SuperellipticCurve, e: int) -> PointCount:
     F_q^x and none otherwise; f(x) = 0 contributes one point.  The Weil
     interval is asserted on every count.
     """
-    if X.kind == GENERAL:
-        raise UnsupportedModelError("point counting needs a validated model kind")
     q = X.p**e
     if q > POINT_ENUMERATION_LIMIT:
         raise ValueError(f"field of order {q} exceeds enumeration limit")
@@ -223,9 +201,10 @@ def count_points(X: SuperellipticCurve, e: int) -> PointCount:
 
 
 def enumerate_points(X: SuperellipticCurve, e: int):
-    """All rational points over F_{p^e}, sorted deterministically."""
-    if X.kind == GENERAL:
-        raise UnsupportedModelError("point enumeration needs a validated model kind")
+    """All rational points over F_{p^e}, sorted deterministically.
+
+    The points at infinity are labelled ("inf", i) for i < their number.
+    """
     q = X.p**e
     if q > POINT_ENUMERATION_LIMIT:
         raise ValueError(f"field of order {q} exceeds enumeration limit")
@@ -239,11 +218,7 @@ def enumerate_points(X: SuperellipticCurve, e: int):
         z = f.eval(x)
         for y in fibers.get(z, []):
             points.append((x, y))
-    n_inf = count_infinite_points(X, K)
-    if n_inf >= 1:
-        points.append(INFINITY)
-    if n_inf == 2:
-        points.append(INFINITY_CONJ)
+    points.extend(("inf", i) for i in range(count_infinite_points(X, K)))
     points.sort(key=point_sort_key)
     return points
 
@@ -321,15 +296,13 @@ def apply_automorphism(X: SuperellipticCurve, sigma: CurveAutomorphism, point):
     y^m = x^p - x family: the Moebius action permutes the branch fiber
     P^1(F_p) = {(a, 0)} u {infinity}.
     """
-    if X.kind == GENERAL:
-        raise UnsupportedModelError("automorphisms act on validated kinds only")
     if sigma.kind == "zeta":
         if sigma.zeta ** X.m != sigma.zeta.field.one():
             raise InvalidCurveError("zeta is not an m-th root of unity for this curve")
         if is_infinite(point):
-            if X.kind == HYPERELLIPTIC and X.f.degree % 2 == 0:
+            if math.gcd(X.m, X.f.degree) > 1:
                 raise UnsupportedModelError(
-                    "vertical action on even-degree hyperelliptic infinity is ambiguous"
+                    "vertical action on several points at infinity is ambiguous"
                 )
             return point
         x, y = point

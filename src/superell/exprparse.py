@@ -14,9 +14,7 @@ token set.
 
 from __future__ import annotations
 
-import math
-
-from .curve import InvalidCurveError, SuperellipticCurve
+from .curve import SuperellipticCurve
 from .ff import FieldDescriptor, NonPrimeModulusError, make_field
 from .poly import Polynomial
 
@@ -165,11 +163,11 @@ def _terms_to_poly(terms, field) -> Polynomial:
 
 
 def parse_curve(src: str) -> SuperellipticCurve:
-    """Parse 'y^m = <poly> mod p' into a validated curve.
+    """Parse 'y^m = <poly> mod p' into a validated curve over F_p.
 
-    The kind is inferred: m = 2 with squarefree f gives the hyperelliptic
-    model; f = x^p - x with m | p+1 gives the Artin-Schreier quotient
-    family; anything else is kind general.
+    The constructor checks the model: m >= 2, gcd(m, p) = 1 and f
+    squarefree of degree >= 1.  Its ``kind`` is a label derived from m
+    and f (hyperelliptic, artin-schreier-quotient or general).
     """
     parser = _Parser(_tokenize(src))
     parser.take("Y")
@@ -186,13 +184,6 @@ def parse_curve(src: str) -> SuperellipticCurve:
         field = make_field(ptok.value, 1)
     except NonPrimeModulusError as exc:
         raise ParseError(str(exc), ptok.offset) from exc
-    if m < 2:
-        raise InvalidCurveError(f"exponent m must be >= 2, got {m}")
-    if math.gcd(m, field.p) != 1:
-        raise InvalidCurveError(
-            f"gcd(m, p) = gcd({m}, {field.p}) != 1: the model y^m = f(x) "
-            "is inseparable over characteristic p"
-        )
     f = _terms_to_poly(terms, field)
     return SuperellipticCurve(m, f)
 

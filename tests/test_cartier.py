@@ -81,7 +81,7 @@ def test_subfamily_block_pattern():
 def test_characteristic_two_rejected():
     F2 = make_field(2)
     f = Polynomial(F2, [1, 1, 1])
-    X = SuperellipticCurve(3, f, kind="general")
+    X = SuperellipticCurve(3, f)
     with pytest.raises(UnsupportedModelError):
         hasse_witt(X)
 

@@ -63,6 +63,21 @@ def test_classify_inconsistent_twist_exits_2(capsys):
     assert rep["results"]["superspecial_consistent"] is False
 
 
+def test_classify_general_model(capsys):
+    code, rep, _ = run_json(capsys, ["classify", "y^3 = x^4 + 1 mod 7"])
+    assert code == 0
+    validate_report(rep)
+    assert rep["results"]["curve"]["kind"] == "general"
+    assert rep["results"]["genus"] == 3
+    assert "hasse_witt" not in rep["results"]
+
+
+def test_classify_constant_f_exits_1(capsys):
+    code, out, err = run(capsys, ["classify", "y^2 = 3 mod 5"])
+    assert code == 1
+    assert "error" in err and "Traceback" not in err
+
+
 def test_classify_byte_stable(capsys):
     argv = ["classify", "y^2 = x^5 - x mod 5", "--e", "1,2", "--json"]
     code1, out1, _ = run(capsys, argv)
@@ -78,6 +93,15 @@ def test_rep_irreducible(capsys):
     assert rep["results"]["verdict"] == "absolutely-irreducible"
     assert rep["results"]["dim"] == 2
     assert rep["results"]["endo_dim"] == 1
+
+
+def test_rep_characteristic_two(capsys):
+    # F_4 has no u, v != 0 with u^3 + v^3 = 1; the module is a line
+    code, rep, _ = run_json(capsys, ["rep", "--p", "2", "--m", "3"])
+    assert code == 0
+    validate_report(rep)
+    assert rep["results"]["dim"] == 1
+    assert rep["results"]["verdict"] == "absolutely-irreducible"
 
 
 def test_rep_reducible_with_witness(capsys):
@@ -121,6 +145,9 @@ def test_bounds_divisor(capsys):
 def test_bounds_missing_param(capsys):
     code, _, err = run(capsys, ["bounds", "--kind", "aut-ordinary"])
     assert code == 1
+    code, _, err = run(capsys, ["bounds", "--kind", "case-I", "--g", "5"])
+    assert code == 1
+    assert "--a" in err and "--d" in err
 
 
 def test_hurwitz_double_cover(capsys):

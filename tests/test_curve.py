@@ -22,8 +22,8 @@ from superell.ff import make_field
 from superell.poly import Polynomial
 
 
-def curve(m, coeffs, p, kind=None):
-    return SuperellipticCurve(m, Polynomial(make_field(p), coeffs), kind=kind)
+def curve(m, coeffs, p):
+    return SuperellipticCurve(m, Polynomial(make_field(p), coeffs))
 
 
 def pair_count_oracle(X, e):
@@ -49,7 +49,7 @@ def test_gcd_constraint_enforced():
 
 def test_hyperelliptic_requires_squarefree():
     with pytest.raises(InvalidCurveError):
-        curve(2, [0, 0, 1], 5, kind=HYPERELLIPTIC)
+        curve(2, [0, 0, 1], 5)
 
 
 def test_kind_inference():
@@ -68,8 +68,7 @@ def test_genus_examples():
     assert genus(curve(6, [0, -1, 0, 0, 0, 1], 5)) == 10
     assert genus(curve(2, [0, -1, 0, 0, 0, 1], 5)) == 2
     assert genus(curve(4, [0, -1, 0, 1], 3)) == 3
-    with pytest.raises(UnsupportedModelError):
-        genus(curve(3, [1, 1, 0, 1], 5))
+    assert genus(curve(3, [1, 1, 0, 1], 5)) == 1
 
 
 # -- point counting ---------------------------------------------------------
@@ -82,10 +81,15 @@ def test_count_matches_pair_oracle():
         curve(4, [0, -1, 0, 1], 3),         # Artin-Schreier quotient
         curve(3, [0, -1, 0, 0, 0, 1], 5),
         curve(2, [2, 1, 0, 0, 0, 0, 1], 5), # even degree, infinity rule
+        curve(3, [1, 0, 0, 0, 1], 7),       # general, genus 3
+        curve(4, [1, 1, 0, 1], 5),          # general, genus 3
+        curve(3, [1, 0, 0, 1], 7),          # delta = 3: three points at infinity
     ]
     for X in cases:
         for e in (1, 2):
-            assert count_points(X, e).count == pair_count_oracle(X, e)
+            count = count_points(X, e).count
+            assert count == pair_count_oracle(X, e)
+            assert len(enumerate_points(X, e)) == count
 
 
 def test_bolza_count_over_f25_is_minimal():
@@ -111,10 +115,38 @@ def test_weil_window_example():
     assert pc.status is None
 
 
-def test_count_rejects_general_kind():
-    X = curve(3, [1, 1, 0, 1], 5)
+def test_construction_rejects_constant_and_non_squarefree_f():
+    with pytest.raises(InvalidCurveError):
+        curve(2, [3], 5)                    # degree 0
+    with pytest.raises(InvalidCurveError):
+        curve(3, [], 5)                     # zero polynomial
+    with pytest.raises(InvalidCurveError):
+        curve(3, [1, 2, 1], 5)              # (x + 1)^2
+
+
+def test_fermat_cubic_has_three_points_at_infinity():
+    # Y^3 = X^3 + Z^3 meets Z = 0 where Y = zeta X, zeta^3 = 1, and F_7
+    # holds all three cube roots of unity
+    X = curve(3, [1, 0, 0, 1], 7)
+    assert count_infinite_points(X, make_field(7)) == 3
+    pts = enumerate_points(X, 1)
+    assert [P for P in pts if P[0] == "inf"] == [("inf", 0), ("inf", 1), ("inf", 2)]
+    # a vertical map permutes them, so their labels carry no action
+    sigma = CurveAutomorphism.root_of_unity(make_field(7).element(2), 3)
     with pytest.raises(UnsupportedModelError):
-        count_points(X, 2)
+        apply_automorphism(X, sigma, INFINITY)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hermitian_model_is_maximal(p):
+    # y^(p+1) = x^p + x is the Hermitian curve: genus p(p-1)/2 and
+    # p^3 + 1 points over F_{p^2}, the upper Weil bound
+    X = curve(p + 1, [0, 1] + [0] * (p - 2) + [1], p)
+    assert X.kind == GENERAL
+    assert genus(X) == p * (p - 1) // 2
+    pc = count_points(X, 2)
+    assert pc.count == p**3 + 1
+    assert pc.status == "maximal"
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 2), (5, 3), (5, 6), (7, 2), (7, 4)])
