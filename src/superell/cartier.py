@@ -3,9 +3,13 @@
 For y^2 = f(x) in odd characteristic the matrix of the p-power Frobenius
 acting on H^1(X, O_X) with respect to the classes y/x^i (i = 1..g) has
 (i, j) entry equal to the x^(p*i - j) coefficient of f(x)^((p-1)/2).
+Over F_p only that window is read: h = f^(e//2), e = (p-1)/2, is powered
+on int residues and the last product h*h (or h*(h*f) for odd e) is
+unpacked at the g^2 slots x^(p*i - j) alone.
 The p-rank is the rank of the g-fold semilinear product
 A * A^(p) * ... * A^(p^(g-1)), where ^(p) raises entries to the p-th
-power.
+power; an invertible A skips the product, since Frobenius twists and
+products of invertible matrices stay invertible.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import SuperellipticCurve, UnsupportedModelError, count_points, genus
+from .ff import _binary_power, _kronecker_bytes, _polymul
 from .linalg import FieldMatrix
 from .poly import poly_pow
 
@@ -48,11 +53,15 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
     """The g x g Frobenius matrix of a hyperelliptic curve, p odd."""
     if X.m != 2:
         raise UnsupportedModelError("Hasse-Witt recipe implemented for y^2 = f(x)")
-    g = genus(X)
-    fpow = poly_pow(X.f, (X.p - 1) // 2)
-    rows = []
-    for i in range(1, g + 1):
-        rows.append([fpow.coeff(X.p * i - j) for j in range(1, g + 1)])
+    g, p, e = genus(X), X.p, (X.p - 1) // 2
+    if X.field.k == 1:
+        f = [c.coeffs[0] for c in X.f.coeffs]
+        h = _binary_power(f, e // 2, lambda a, b: _polymul(a, b, p), [1])
+        bs, w = _kronecker_bytes(h, h if e % 2 == 0 else _polymul(h, f, p), p)
+        coeff = lambda n: int.from_bytes(bs[n * w:n * w + w], "little") % p if n >= 0 else 0
+    else:
+        coeff = poly_pow(X.f, e).coeff
+    rows = [[coeff(p * i - j) for j in range(1, g + 1)] for i in range(1, g + 1)]
     labels = tuple(f"y/x^{i}" for i in range(1, g + 1))
     return HasseWittMatrix(matrix=FieldMatrix(X.field, rows), genus=g, basis_labels=labels)
 
@@ -74,7 +83,9 @@ def classify_p_rank(H: HasseWittMatrix) -> PRankClass:
     M = H.matrix
     if M.is_zero():
         return PRankClass(stable_rank=0, genus=g, verdict="superspecial")
-    rank = semilinear_stable_matrix(M, g).rank()
+    rank = M.rank()
+    if rank < g:
+        rank = semilinear_stable_matrix(M, g).rank()
     verdict = "ordinary" if rank == g else "intermediate"
     return PRankClass(stable_rank=rank, genus=g, verdict=verdict)
 

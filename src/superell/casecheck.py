@@ -185,6 +185,8 @@ def case_closed_forms(case_id: str, params: dict) -> BoundReport:
         g, q, qp, b2 = params["g"], params["q"], params["q_prime"], params["b2"]
         if q == 2 or qp == 1:
             raise ValueError("subcase needs q != 2 and q' != 1")
+        if b2 < 1:
+            raise ValueError("need b2 >= 1")
         value = Fraction(15 * q * qp * (g - 1), 7 * b2)
         comparisons = (
             ("(qq'-1)/b2 <= 2(g-1)", Fraction(q * qp - 1, b2) <= 2 * (g - 1)),
@@ -195,12 +197,18 @@ def case_closed_forms(case_id: str, params: dict) -> BoundReport:
         g, a, qp, b2 = params["g"], params["a"], params["q_prime"], params["b2"]
         if a * (qp - 1) != g - 1:
             raise ValueError("need a(q' - 1) = g - 1")
+        if b2 < 1:
+            raise ValueError("need b2 >= 1")
         value = Fraction(2 * a * qp * (2 * qp - 1), b2)
         value = value if value.denominator != 1 else int(value)
         comparisons = (("|G| <= 6g^2", value <= 6 * g * g),)
         return BoundReport("case-II-b", dict(params), value, comparisons)
     if case_id == "II-c":
         g, q, b1, b2 = params["g"], params["q"], params["b1"], params["b2"]
+        if q == 2:
+            raise ValueError("need q != 2")
+        if b1 + b2 < 1:
+            raise ValueError("need b1 + b2 >= 1")
         if (2 * (g - 1)) % (q - 2) != 0:
             raise ValueError("need (q - 2) | 2(g - 1)")
         value = Fraction(2 * (g - 1) * q * (q - 1), (b1 + b2) * (q - 2))

@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Raw polynomial helpers over F_p (coefficient lists, ascending degree).
 # Kept local so this module stays dependency-free; `poly` builds the public
-# polynomial type on top of FieldElement.
+# polynomial type on top of FieldElement and multiplies over F_p with `_polymul`.
 
 
 def _trim(cs):
@@ -48,29 +48,29 @@ def _trim(cs):
     return cs
 
 
-def _polymulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _polyrem(out, mod, p)
+def _kronecker_bytes(a, b, p):
+    """Little-endian bytes of the product of residue lists a, b (entries in
+    [0, p)) packed w bytes per coefficient, and w.
+
+    Slot n of the product is sum a_i b_(n-i) <= min(len a, len b) (p-1)^2
+    < 2^(8w), so no slot carries into the next and one big-int multiply
+    gives every coefficient.  Squaring (a is b) packs once.
+    """
+    w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    A = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    B = A if a is b else int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
+    return (A * B).to_bytes((len(a) + len(b) - 1) * w, "little"), w
+
+
+def _polymul(a, b, p):
+    if not a or not b:
+        return []
+    bs, w = _kronecker_bytes(a, b, p)
+    return _trim([int.from_bytes(bs[i:i + w], "little") % p for i in range(0, len(bs), w)])
 
 
 def _polyrem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _trim(a)
+    return _polydivmod(a, mod, p)[1]
 
 
 def _polygcd(a, b, p):
@@ -80,15 +80,21 @@ def _polygcd(a, b, p):
     return a
 
 
-def _polypowmod(base, e, mod, p):
-    result = [1]
-    base = _polyrem(base, mod, p)
+def _binary_power(base, e, mul, one):
+    """base^e under the product mul, skipping the last, unused squaring."""
+    result = one
     while e:
         if e & 1:
-            result = _polymulmod(result, base, mod, p)
-        base = _polymulmod(base, base, mod, p)
+            result = mul(result, base)
         e >>= 1
+        if e:
+            base = mul(base, base)
     return result
+
+
+def _polypowmod(base, e, mod, p):
+    return _binary_power(_polyrem(base, mod, p), e,
+                         lambda a, b: _polyrem(_polymul(a, b, p), mod, p), [1])
 
 
 def _is_irreducible(coeffs, p):
@@ -335,14 +341,7 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _binary_power(self, e, FieldElement.__mul__, self.field.one())
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by extended Euclid on coefficient polys."""
@@ -386,17 +385,6 @@ class FieldElement:
         if self.field.k == 1:
             return f"{self.coeffs[0]}"
         return f"{list(self.coeffs)}"
-
-
-def _polymul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _polydivmod(a, b, p):

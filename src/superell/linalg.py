@@ -6,7 +6,7 @@ so results are deterministic for a given input.
 
 from __future__ import annotations
 
-from .ff import FieldDescriptor, FieldMismatchError, frobenius
+from .ff import FieldDescriptor, FieldMismatchError, _binary_power, frobenius
 from .poly import Polynomial
 
 
@@ -140,14 +140,7 @@ class FieldMatrix:
     def power(self, e: int) -> "FieldMatrix":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
-        result = FieldMatrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return _binary_power(self, e, FieldMatrix.__matmul__, FieldMatrix.identity(self.field, self.nrows))
 
     def frobenius_entrywise(self) -> "FieldMatrix":
         return FieldMatrix(self.field, [[frobenius(c) for c in row] for row in self.rows])

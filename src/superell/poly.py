@@ -1,14 +1,15 @@
 """Dense univariate polynomials over a finite field.
 
 Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial has an empty coefficient vector.  Multiplication is
-schoolbook, which is adequate up to degree ~10^4; that is the documented
-scaling limit of this module.
+zero polynomial has an empty coefficient vector.  Over F_p, products and
+powers run on int residues through one Kronecker-substitution kernel,
+`ff._polymul`, with w-byte slots where 2^(8w) > min(len a, len b) (p-1)^2;
+over F_{p^k}, k >= 2, products are schoolbook.
 """
 
 from __future__ import annotations
 
-from .ff import FieldDescriptor, FieldElement, FieldMismatchError, lift_to
+from .ff import FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _polymul, lift_to
 
 
 class Polynomial:
@@ -107,16 +108,9 @@ class Polynomial:
             return Polynomial.zero(self.field)
         f = self.field
         if f.k == 1:
-            # int fast path: accumulate wide products, reduce once
-            p = f.p
             a = [c.coeffs[0] for c in self.coeffs]
-            b = [c.coeffs[0] for c in other.coeffs]
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Polynomial(f, [c % p for c in out])
+            b = a if other is self else [c.coeffs[0] for c in other.coeffs]
+            return Polynomial(f, _polymul(a, b, f.p))
         z = f.zero()
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ai in enumerate(self.coeffs):
@@ -203,14 +197,11 @@ def poly_pow(f: Polynomial, e: int) -> Polynomial:
     """f^e by binary exponentiation; f^0 = 1 including for f = 0."""
     if e < 0:
         raise ValueError("negative polynomial power")
-    result = Polynomial.one(f.field)
-    base = f
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
+    F = f.field
+    if F.k == 1:
+        ints = [c.coeffs[0] for c in f.coeffs]
+        return Polynomial(F, _binary_power(ints, e, lambda a, b: _polymul(a, b, F.p), [1]))
+    return _binary_power(f, e, Polynomial.__mul__, Polynomial.one(F))
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:

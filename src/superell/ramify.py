@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .ff import _prime_divisors
+
 
 @dataclass(frozen=True)
 class CoverProfile:
@@ -96,17 +98,8 @@ def _genus_result(val: Fraction) -> FormulaResult:
 
 def _prime_power_base(n: int) -> Optional[int]:
     """The prime p with n = p^k, or None."""
-    if n < 2:
-        return None
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            return d if m == 1 else None
-        d += 1
-    return m
+    primes = _prime_divisors(n)
+    return primes[0] if len(primes) == 1 else None
 
 
 def deuring_shafarevich(prof: CoverProfile, unknown: str) -> FormulaResult:

@@ -1,18 +1,21 @@
 import random
+import time
+from math import comb
 
 import pytest
 
 from superell.cartier import (
     HasseWittMatrix,
+    PRankClass,
     classify_p_rank,
     crosscheck_superspecial,
     hasse_witt,
     semilinear_stable_matrix,
 )
-from superell.curve import SuperellipticCurve, UnsupportedModelError, genus
+from superell.curve import SuperellipticCurve, UnsupportedModelError, count_points, genus
 from superell.ff import make_field
 from superell.linalg import FieldMatrix
-from superell.poly import Polynomial, is_squarefree
+from superell.poly import Polynomial, is_squarefree, poly_pow
 
 
 def hyper(coeffs, p):
@@ -122,6 +125,76 @@ def test_matrix_agrees_with_cech_oracle(p):
         f = sample_squarefree(rng, F, deg)
         X = SuperellipticCurve(2, f)
         assert hasse_witt(X).matrix == cech_frobenius_oracle(X)
+
+
+def full_power_matrix(X):
+    """Entries read from the whole of f^((p-1)/2), x^n with n < 0 read as 0."""
+    p, g = X.p, genus(X)
+    fpow = poly_pow(X.f, (p - 1) // 2)
+    return FieldMatrix(X.field, [[fpow.coeff(p * i - j) for j in range(1, g + 1)] for i in range(1, g + 1)])
+
+
+# e = (p-1)/2 is odd for 3, 7, 11, 307 and even for 5, 13, 53, 101; at p = 3
+# and deg f >= 9 the genus exceeds p, so the window starts below x^0
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 53, 101, 307])
+def test_window_matches_full_power(p):
+    rng = random.Random(200 + p)
+    F = make_field(p)
+    curves = [sample_squarefree(rng, F, deg) for deg in (5, 6, 9, 10, 11, 12, 13, 14)]
+    for g in (2, 3, 4):
+        for coeffs in ([1] + [0] * 2 * g + [1], [0, 1] + [0] * (2 * g - 1) + [1], [1] + [0] * (2 * g + 1) + [1]):
+            f = Polynomial(F, coeffs)
+            if is_squarefree(f):
+                curves.append(f)
+    for f in curves:
+        X = SuperellipticCurve(2, f)
+        assert hasse_witt(X).matrix == full_power_matrix(X)
+
+
+def random_matrix(rng, F, nrows, ncols):
+    elems = list(F.elements())
+    return FieldMatrix(F, [[rng.choice(elems) for _ in range(ncols)] for _ in range(nrows)])
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (3, 2), (5, 2)])
+def test_full_rank_shortcut_matches_stable_product(p, k):
+    F = make_field(p, k)
+    rng = random.Random(10 * p + k)
+    elems = list(F.elements())
+    for g in range(1, 6):
+        invertible = [M for M in (random_matrix(rng, F, g, g) for _ in range(12)) if M.rank() == g][:3]
+        deficient = [random_matrix(rng, F, g, r) @ random_matrix(rng, F, r, g) for r in range(1, g)]
+        # strictly upper triangular with ones above the diagonal: nilpotent, nonzero
+        upper = [[1 if j == i + 1 else rng.choice(elems) if j > i else 0 for j in range(g)] for i in range(g)]
+        nilpotent = [FieldMatrix(F, upper)] if g > 1 else []
+        assert invertible
+        for M in [FieldMatrix.zeros(F, g, g)] + invertible + deficient + nilpotent:
+            labels = tuple(f"y/x^{i}" for i in range(1, g + 1))
+            got = classify_p_rank(HasseWittMatrix(matrix=M, genus=g, basis_labels=labels))
+            rank = semilinear_stable_matrix(M, g).rank()
+            verdict = "superspecial" if M.is_zero() else "ordinary" if rank == g else "intermediate"
+            assert (got.stable_rank, got.verdict) == (rank, verdict)
+
+
+def test_genus_20_at_p_1009():
+    # y^2 = x^41 + x + 1: the x^n coefficient of f^504 is the multinomial
+    # sum over a x^41-factors and b x-factors with 41a + b = n
+    p, e = 1009, 504
+    X = hyper([1, 1] + [0] * 39 + [1], p)
+    start = time.process_time()
+    H = hasse_witt(X)
+    verdict = classify_p_rank(H)
+    elapsed = time.process_time() - start
+    for i in range(1, 21):
+        for j in range(1, 21):
+            n = p * i - j
+            want = sum(comb(e, a) * comb(e - a, n - 41 * a) for a in range(n // 41 + 1)) % p
+            assert H.entry(i, j).lift() == want
+    assert H.matrix.rank() == 20
+    assert verdict == PRankClass(stable_rank=20, genus=20, verdict="ordinary")
+    trace = sum(H.entry(i, i).lift() for i in range(1, 21))
+    assert (count_points(X, 1).count - 1 + trace) % p == 0  # Manin: #X(F_p) = 1 - tr A mod p
+    assert elapsed < 10, f"Hasse-Witt and p-rank took {elapsed:.1f} s of CPU"
 
 
 # -- cross-checks ------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from superell import cli
 
 
@@ -148,6 +150,18 @@ def test_bounds_missing_param(capsys):
     code, _, err = run(capsys, ["bounds", "--kind", "case-I", "--g", "5"])
     assert code == 1
     assert "--a" in err and "--d" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "case-II-a", "--g", "5", "--q", "3", "--q-prime", "3", "--b2", "0"], "need b2 >= 1"),
+    (["--kind", "case-II-b", "--g", "5", "--a", "2", "--q-prime", "3", "--b2", "0"], "need b2 >= 1"),
+    (["--kind", "case-II-c", "--g", "5", "--q", "3", "--b1", "0", "--b2", "0"], "need b1 + b2 >= 1"),
+    (["--kind", "case-II-c", "--g", "5", "--q", "2", "--b1", "1", "--b2", "1"], "need q != 2"),
+])
+def test_bounds_case_ii_degenerate_inputs_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, ["bounds"] + argv)
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err
 
 
 def test_hurwitz_double_cover(capsys):

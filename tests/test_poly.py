@@ -1,23 +1,39 @@
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_pow, gf_strip
 
-from superell.ff import make_field
+from superell.ff import _polymul, make_field
 from superell.poly import Polynomial, is_squarefree, poly_gcd, poly_pow, roots_in_field
 
+KERNEL_PRIMES = [2, 3, 1009, 1000003]
 
-def schoolbook_square_ints(coeffs, p):
-    out = [0] * (2 * len(coeffs) - 1)
-    for i, a in enumerate(coeffs):
-        for j, b in enumerate(coeffs):
-            out[i + j] = (out[i + j] + a * b) % p
+
+def schoolbook_ints(a, b, p):
+    """Product of residue lists (ascending degree) without trailing zeros."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
     return out
+
+
+def to_gf(coeffs):
+    """Ascending residues -> sympy's descending dense form."""
+    return gf_strip([ZZ(c) for c in reversed(coeffs)])
+
+
+def from_gf(coeffs):
+    return [int(c) for c in reversed(coeffs)]
 
 
 def test_square_of_x5_minus_x_over_f5():
     F5 = make_field(5)
     f = Polynomial(F5, [0, -1, 0, 0, 0, 1])
-    expected = schoolbook_square_ints([0, 4, 0, 0, 0, 1], 5)
+    expected = schoolbook_ints([0, 4, 0, 0, 0, 1], [0, 4, 0, 0, 0, 1], 5)
     got = poly_pow(f, 2)
     assert [c.lift() for c in got.coeffs] == expected
     # x^10 + 3 x^6 + x^2
@@ -136,3 +152,43 @@ def test_eval_in_extension():
     f = Polynomial(F3, [1, 0, 1])
     t = F9.gen()
     assert f.eval(t).is_zero()
+
+
+# -- the Kronecker product kernel against independent oracles ----------------
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_polymul_matches_schoolbook_and_sympy(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        a = [rng.randrange(p) for _ in range(rng.randrange(0, 30))]
+        b = [rng.randrange(p) for _ in range(rng.randrange(0, 30))]
+        want = schoolbook_ints(a, b, p)
+        assert _polymul(a, b, p) == want
+        assert want == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
+        assert _polymul(a, a, p) == schoolbook_ints(a, a, p)  # squaring packs once
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (5, 9), (64, 64), (300, 257)])
+def test_polymul_at_the_width_bound(p, n, m):
+    # all coefficients p - 1: the middle slots reach min(n, m) (p-1)^2, the
+    # bound the slot width must exceed
+    a, b = [p - 1] * n, [p - 1] * m
+    assert _polymul(a, b, p) == schoolbook_ints(a, b, p)
+    assert _polymul(a, a, p) == schoolbook_ints(a, a, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_polynomial_products_and_powers_match_sympy(p):
+    rng = random.Random(1000 + p)
+    F = make_field(p)
+    for _ in range(8):
+        coeffs = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+        other = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+        f, g = Polynomial(F, coeffs), Polynomial(F, other)
+        assert [c.lift() for c in (f * f).coeffs] == schoolbook_ints(coeffs, coeffs, p)
+        assert [c.lift() for c in (f * g).coeffs] == schoolbook_ints(coeffs, other, p)
+        for e in (0, 1, 2, 5, 16, 37):
+            got = [c.lift() for c in poly_pow(f, e).coeffs]
+            assert got == from_gf(gf_pow(to_gf(coeffs), e, p, ZZ))
