@@ -80,7 +80,7 @@ def zeta_of_order(K: FieldDescriptor, m: int):
         raise ValueError(f"K has no element of order {m}")
     if m == 1:
         return K.one()
-    prime_divs = _prime_divisors(m)
+    prime_divs = list(_prime_divisors(m))
     for z in K.elements():
         if z.is_zero():
             continue
@@ -303,26 +303,15 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
     for attempt in range(budget):
         theta = _sample_algebra_element(rng, pool, gens, elements, attempt)
         chi = theta.charpoly()
-        roots = _roots_with_multiplicity(chi, elements)
-        # pass 1: simple roots have one-dimensional eigenspaces, so a
-        # single spin plus the dual spin decides the module outright
-        for mult, lam in roots:
-            if mult != 1:
-                continue
-            verdict = _norton_decide(field, dim, theta, lam, identity, gens, gens_t)
-            if verdict is not None:
-                return verdict
-        # pass 2: repeated roots; a one-dimensional nullspace still
-        # decides, larger nullspaces only probe for submodules
-        for _, lam in roots:
+        # one pass over the eigenvalues, simple roots first: a simple root
+        # has nullity one, and a nullity-one eigenvalue decides the module
+        # by the spin and the dual spin; larger nullspaces only probe their
+        # vectors for submodules
+        for _, lam in _roots_with_multiplicity(chi, elements):
             shifted = theta - identity.scale(lam)
             null = shifted.nullspace()
             if len(null) == 1:
-                verdict = _norton_decide(
-                    field, dim, theta, lam, identity, gens, gens_t, shifted=shifted
-                )
-                if verdict is not None:
-                    return verdict
+                return _norton_decide(field, dim, shifted, null[0], gens, gens_t)
             for v in null:
                 sub = spin(field, [v], gens)
                 if len(sub) < dim:
@@ -361,21 +350,17 @@ def _deflate(f, lam):
     return Polynomial(f.field, quotient)
 
 
-def _norton_decide(field, dim, theta, lam, identity, gens, gens_t, shifted=None):
-    """Decide the module from a nullity-one eigenvalue, or return None.
+def _norton_decide(field, dim, shifted, v, gens, gens_t):
+    """Decide the module from the null vector v of shifted = theta - lam I,
+    where lam is a nullity-one eigenvalue of an algebra element theta.
 
-    Spins the null vector through the generators; a proper closure is a
-    submodule.  Otherwise the transposed null vector is spun through the
-    transposed generators; a proper dual closure gives a submodule as
-    its annihilator, and full closures on both sides certify absolute
+    Spins v through the generators; a proper closure is a submodule.
+    Otherwise the transposed null vector is spun through the transposed
+    generators; a proper dual closure gives a submodule as its
+    annihilator, and full closures on both sides certify absolute
     irreducibility (the eigenline forces a scalar commutant).
     """
-    if shifted is None:
-        shifted = theta - identity.scale(lam)
-    null = shifted.nullspace()
-    if len(null) != 1:
-        return None
-    sub = spin(field, [null[0]], gens)
+    sub = spin(field, [v], gens)
     if len(sub) < dim:
         return _reducible(field, sub, gens)
     dual = spin(field, [shifted.transpose().nullspace()[0]], gens_t)

@@ -22,13 +22,10 @@ from .linalg import FieldMatrix
 from .poly import poly_pow
 
 
-class InseparableModelError(UnsupportedModelError):
-    """y^2 = f(x) is not a separable model in characteristic 2.
-
-    No model reaches this: the curve constructor already rejects
-    gcd(m, p) != 1, so y^2 = f(x) never exists over F_2.  The name stays
-    exported for callers that catch it.
-    """
+# Alias kept for callers that catch it: no model raises it, since the
+# curve constructor rejects gcd(m, p) != 1 and y^2 = f(x) never exists
+# over F_2.
+InseparableModelError = UnsupportedModelError
 
 
 @dataclass(frozen=True)

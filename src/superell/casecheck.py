@@ -16,20 +16,9 @@ from typing import Optional
 
 from .cartier import classify_p_rank, hasse_witt
 from .curve import SuperellipticCurve
-from .ff import FieldElement, is_prime
+from .ff import FieldElement, is_prime, primes_up_to
 from .poly import Polynomial
 from .ramify import case_equation_check
-
-
-def primes_up_to(n: int):
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for d in range(2, math.isqrt(n) + 1):
-        if sieve[d]:
-            sieve[d * d :: d] = b"\x00" * len(range(d * d, n + 1, d))
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 @dataclass

@@ -98,7 +98,11 @@ def cmd_classify(args) -> int:
     if X.m == 2:
         hw = cartier.hasse_witt(X)
         p_rank = cartier.classify_p_rank(hw)
-        count_e2 = counts[e_list.index(2)] if 2 in e_list else curvemod.count_points(X, 2)
+        # the consistency flag reads the F_{p^2} count only for a
+        # superspecial verdict: count it then, unless --e already has
+        count_e2 = dict(zip(e_list, counts)).get(2)
+        if count_e2 is None and p_rank.verdict == "superspecial":
+            count_e2 = curvemod.count_points(X, 2)
         consistent = cartier.superspecial_consistent(p_rank, count_e2)
         results["hasse_witt"] = {
             "basis": list(hw.basis_labels),

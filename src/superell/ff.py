@@ -10,6 +10,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 class FieldMismatchError(ValueError):
@@ -18,22 +19,6 @@ class FieldMismatchError(ValueError):
 
 class NonPrimeModulusError(ValueError):
     """Requested characteristic is not a prime number."""
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +125,35 @@ def _polyeval(coeffs, a, p):
 
 
 def _prime_divisors(n):
-    out = []
+    """Distinct prime divisors of n >= 1 in increasing order, yielded as
+    trial division finds them."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        out.append(n)
-    return out
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    """Primality through the one trial-division loop: n is prime when its
+    smallest prime divisor is n itself."""
+    return n >= 2 and next(_prime_divisors(n)) == n
+
+
+def primes_up_to(n: int):
+    """The primes <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = b"\x00" * len(range(d * d, n + 1, d))
+    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Dense matrices over a finite field: rank, nullspace, char poly, spinning.
 
-Everything is exact; elimination uses full pivot search column by column
-so results are deterministic for a given input.
+Everything is exact.  One elimination kernel, `_EchelonAccumulator`,
+serves every routine: it keeps a reduced echelon basis and inserts one
+vector at a time, pivoting on the vector's first nonzero column.  Rank,
+nullspace, inverse and `span_basis` insert a matrix's rows and sort the
+basis by pivot, which gives the reduced row echelon form; that form is
+unique, so the results do not depend on the order of insertion.
+`spin` and `is_invariant_subspace` grow and query the basis directly.
 """
 
 from __future__ import annotations
@@ -112,18 +117,7 @@ class FieldMatrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        cols = other.columns()
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = self.field.zero()
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return FieldMatrix(self.field, out)
+        return FieldMatrix.from_columns(self.field, [self.mat_vec(col) for col in other.columns()])
 
     def mat_vec(self, v):
         if len(v) != self.ncols:
@@ -148,30 +142,12 @@ class FieldMatrix:
     # -- elimination -----------------------------------------------------------
 
     def _echelon(self):
-        """Row echelon form; returns (rows as lists, pivot column list)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = None
-            for i in range(r, len(rows)):
-                if not rows[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [a * inv for a in rows[r]]
-            for i in range(len(rows)):
-                if i != r and not rows[i][c].is_zero():
-                    factor = rows[i][c]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots
+        """Reduced row echelon form: (nonzero rows as lists, pivot columns)."""
+        acc = _EchelonAccumulator(self.field, self.ncols)
+        for row in self.rows:
+            acc.insert(row)
+        order = sorted(range(len(acc)), key=acc.pivots.__getitem__)
+        return [acc.rows[i] for i in order], [acc.pivots[i] for i in order]
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -195,10 +171,8 @@ class FieldMatrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = FieldMatrix(
-            self.field,
-            [list(self.rows[i]) + list(FieldMatrix.identity(self.field, n).rows[i]) for i in range(n)],
-        )
+        identity = FieldMatrix.identity(self.field, n).rows
+        aug = FieldMatrix(self.field, [r + e for r, e in zip(self.rows, identity)])
         rows, pivots = aug._echelon()
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
@@ -255,13 +229,17 @@ def span_basis(field: FieldDescriptor, vectors):
     """
     if not vectors:
         return [], []
-    mat = FieldMatrix(field, [list(v) for v in vectors])
-    rows, pivots = mat._echelon()
-    return [tuple(rows[i]) for i in range(len(pivots))], pivots
+    rows, pivots = FieldMatrix(field, vectors)._echelon()
+    return [tuple(r) for r in rows], pivots
 
 
 class _EchelonAccumulator:
-    """Incremental echelon basis used by spinning loops."""
+    """Reduced echelon basis grown one vector at a time: the elimination
+    kernel behind every routine of this module.
+
+    Rows are kept in insertion order; each row is zero in every other
+    row's pivot column, and its first nonzero entry is a 1 at its pivot.
+    """
 
     def __init__(self, field, dim):
         self.field = field
@@ -328,15 +306,12 @@ def spin(field: FieldDescriptor, seeds, mats):
 
 
 def is_invariant_subspace(basis_rows, mats) -> bool:
-    """Rank test: span(W) = span(W u M W) for every M."""
+    """True when every image M w reduces to zero against span(W)."""
     if not basis_rows or not mats:
         return True
-    field = mats[0].field
-    _, base_pivots = span_basis(field, basis_rows)
-    r = len(base_pivots)
-    for m in mats:
-        images = [m.mat_vec(v) for v in basis_rows]
-        _, pivots = span_basis(field, list(basis_rows) + images)
-        if len(pivots) != r:
-            return False
-    return True
+    acc = _EchelonAccumulator(mats[0].field, len(basis_rows[0]))
+    for w in basis_rows:
+        acc.insert(w)
+    return all(
+        all(c.is_zero() for c in acc.reduce(m.mat_vec(w))) for m in mats for w in basis_rows
+    )

@@ -98,7 +98,7 @@ def _genus_result(val: Fraction) -> FormulaResult:
 
 def _prime_power_base(n: int) -> Optional[int]:
     """The prime p with n = p^k, or None."""
-    primes = _prime_divisors(n)
+    primes = list(_prime_divisors(n))
     return primes[0] if len(primes) == 1 else None
 
 

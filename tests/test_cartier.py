@@ -6,6 +6,7 @@ import pytest
 
 from superell.cartier import (
     HasseWittMatrix,
+    InseparableModelError,
     PRankClass,
     classify_p_rank,
     crosscheck_superspecial,
@@ -87,6 +88,10 @@ def test_characteristic_two_rejected():
     X = SuperellipticCurve(3, f)
     with pytest.raises(UnsupportedModelError):
         hasse_witt(X)
+
+
+def test_inseparable_model_error_is_an_alias():
+    assert InseparableModelError is UnsupportedModelError
 
 
 def test_non_hyperelliptic_rejected():

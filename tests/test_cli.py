@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from superell import cli
+from superell import cli, curve as curvemod
 
 
 def run(capsys, argv):
@@ -59,10 +59,36 @@ def test_classify_non_prime_exits_1(capsys):
     assert "error" in err
 
 
+def test_classify_even_modulus_with_huge_cofactor_exits_1(capsys):
+    # 2 (2^61 - 1): the primality test stops at the factor 2
+    code, out, err = run(capsys, ["classify", f"y^2 = x^5 - x mod {2 * (2**61 - 1)}"])
+    assert code == 1
+    assert "not prime" in err
+
+
 def test_classify_inconsistent_twist_exits_2(capsys):
     code, rep, _ = run_json(capsys, ["classify", "y^2 = x^5 - 2x mod 5", "--e", "2"])
     assert code == 2
     assert rep["results"]["superspecial_consistent"] is False
+
+
+@pytest.mark.parametrize("curve, code, counted", [
+    ("y^2 = x^5 - x mod 3", 0, [1]),     # ordinary: the F_9 count is never read
+    ("y^2 = x^5 - x mod 5", 0, [1, 2]),  # superspecial: checked against F_25
+    ("y^2 = x^5 - 2*x mod 5", 2, [1, 2]),
+])
+def test_classify_counts_over_fp2_only_for_superspecial(capsys, monkeypatch, curve, code, counted):
+    seen = []
+    count_points = curvemod.count_points
+
+    def recording(X, e):
+        seen.append(e)
+        return count_points(X, e)
+
+    monkeypatch.setattr(curvemod, "count_points", recording)
+    got, rep, _ = run_json(capsys, ["classify", curve, "--e", "1"])
+    assert (got, seen) == (code, counted)
+    assert rep["results"]["superspecial_consistent"] is (code == 0)
 
 
 def test_classify_general_model(capsys):

@@ -1,0 +1,62 @@
+"""Golden `--json` corpus: fixed CLI commands and the sha256 of their output.
+
+The hashes pin the byte-identical `--json` invariant: a refactor that
+changes any verdict, count, matrix, witness or key order fails here.
+Regenerate a hash only for a deliberate change of output, and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from superell import cli
+
+CORPUS = [
+    (["classify", "y^2 = x^5 - x mod 5", "--e", "1,2"], 0,
+     "bad2387214644b8b3cf3528f86fbaa7803fdbf82b9c75133d86e97bfddb2ce55"),
+    (["classify", "y^2 = x^7 + 3*x + 1 mod 13", "--e", "1,2"], 0,
+     "6ce2b4a9e7ba12b31815d6c249c54e8602d15645cb775a533a099cc7bf778c1c"),
+    (["classify", "y^2 = x^9 + x^2 + 5 mod 31", "--e", "1,2"], 0,
+     "188e6c4e489bd1b9597d2aabe99371a9de2e9061f80286ea388025a4f40e6099"),
+    # --e 1 on an ordinary, a superspecial and an inconsistent twist
+    (["classify", "y^2 = x^5 - x mod 3", "--e", "1"], 0,
+     "665d4a9be3c80b030bee88dc195b5e3f3cc959278c1e222d343a1148a4d10aa6"),
+    (["classify", "y^2 = x^5 - x mod 5", "--e", "1"], 0,
+     "8ac1d3af24b28fdf539409c1717980f0099e7ce321f41990e38aff1a578ae0df"),
+    (["classify", "y^2 = x^5 - 2*x mod 5", "--e", "1"], 2,
+     "161462894ba9d1f12989a669de745a338fb0cd3bc607fb4f2efe68bb6acee7a3"),
+    (["classify", "y^3 = x^4 + 1 mod 7"], 0,
+     "331b60ea6ab11f762bf463a336a2bd2520ec435c48098e2f4a279041286159d9"),
+    (["rep", "--p", "7", "--m", "4"], 0,
+     "ff05a2a1baf5f242319ab26f20fba7f26227ebf415789a01b1acbc298dbc097f"),
+    (["rep", "--p", "7", "--m", "2"], 0,
+     "275fd4339d683a911d8fb1587d7c8294d2fbb6225c42904bc32d7f92f87ce0de"),
+    (["rep", "--p", "11", "--m", "3"], 0,
+     "03a7f1a031f5b8a2029fcbda929ed44928b7d4e3478488e2ed1425c9e6f0cd85"),
+    (["rep", "--p", "11", "--m", "4", "--seed", "3"], 0,
+     "09db906471da2cea62db19e25905fdfc1a4c6f433154c105f5deb5354d6f76ff"),
+    (["rep", "--p", "13", "--m", "7"], 0,
+     "944e0509ba1fea46a5d40e9372ffc5321a199bde0cc13f10a85360755ad48803"),
+    # Hermitian plane models
+    (["rep", "--p", "5", "--m", "6"], 0,
+     "2a9601f99ca9698bde78e1e47d2178b3bf8f019c662b385eb92ba77d05f1e892"),
+    (["rep", "--p", "7", "--m", "8"], 0,
+     "3b61247bc3eeb31cd35978ffe6e273bf9448ee47900284790d41120fab2a7762"),
+    (["rep", "--p", "2", "--m", "3"], 0,
+     "54b47f9de3c2b9f0b228363c7d8408488596d8c689f78bcb5a68ed0bfbd6fcf5"),
+    (["bounds", "--kind", "aut-ordinary", "--g", "100"], 0,
+     "d6850c19996006bd8fe71c647261ac4f85deeee3254d3375ec7ccab4e63a81ed"),
+    (["bounds", "--kind", "case-IV-final", "--p", "3", "--n", "1"], 0,
+     "6f7598f5ed1b79915c66714e0fc10da2df55ac7125948df5fd45030de9f2d521"),
+    (["search", "--spec", "tame-outside", "--p-max", "200"], 0,
+     "70ecb73ec5d90a68ea0be8a028696c4932b11653cd60f6e9eb8f9e695241b8d0"),
+    (["hurwitz", "--gy", "0", "--order", "2", "--ram", "2:1,2:1,2:1,2:1,2:1,2:1"], 0,
+     "4dbfe0463a69cb77fc24e050c3098c88e051c1a3bddd8cc90e6f3ab50db0eca1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CORPUS, ids=[" ".join(c[0]) for c in CORPUS])
+def test_json_output_is_unchanged(capsys, argv, code, digest):
+    assert cli.main(argv + ["--json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,6 +9,7 @@ from superell.ff import (
     is_prime,
     lift_to,
     make_field,
+    primes_up_to,
 )
 
 
@@ -162,3 +163,15 @@ def test_lift_to_extension():
 
 def test_is_prime_small_values():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_agrees_with_the_sieve():
+    from superell import casecheck
+
+    assert casecheck.primes_up_to is primes_up_to
+    assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+    assert [n for n in range(-5, 2000) if is_prime(n)] == primes_up_to(1999)
+    assert is_prime(1000003) and is_prime(2**31 - 1)
+    assert not is_prime(1000003 * 3) and not is_prime(1009**2)
+    # a small factor ends the search at once, however large the cofactor
+    assert not is_prime(2 * (2**61 - 1))

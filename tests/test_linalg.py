@@ -124,3 +124,175 @@ def test_span_basis_dedupes():
     v2 = tuple(F3.element(v) for v in (2, 1, 0))  # = 2 * v1
     rows, pivots = span_basis(F3, [v1, v2])
     assert len(rows) == 1 and len(pivots) == 1
+
+
+# -- differential tests against a textbook Gauss-Jordan ---------------------
+
+
+def reference_rref(field, rows, ncols):
+    """Gauss-Jordan column by column: swap a pivot row up, scale it to 1,
+    clear its column in every other row.  Returns (nonzero rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if not rows[i][c].is_zero()]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(rows[i]) for i in range(len(pivots))], pivots
+
+
+def reference_nullspace(field, rows, ncols):
+    rref, pivots = reference_rref(field, rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_product(A, B):
+    zero = A.field.zero()
+    return [
+        [sum((A[i, k] * B[k, j] for k in range(A.ncols)), zero) for j in range(B.ncols)]
+        for i in range(A.nrows)
+    ]
+
+
+def seeded_matrices(field, rng):
+    """Zero, rank-deficient, full-rank, wide and tall matrices over field."""
+    elems = list(field.elements())
+
+    def rand(n, m):
+        return FieldMatrix(field, [[rng.choice(elems) for _ in range(m)] for _ in range(n)])
+
+    out = [FieldMatrix.zeros(field, 3, 4), FieldMatrix.zeros(field, 2, 2)]
+    for _ in range(4):
+        n = rng.randrange(2, 6)
+        r = rng.randrange(1, n)
+        out.append(rand(n, r) @ rand(r, n))           # square, rank <= r < n
+        out.append(rand(n + 1, r) @ rand(r, n - 1))
+        out.append(rand(n, n))                        # full rank for most draws
+        out.append(rand(2, rng.randrange(3, 7)))      # wide
+        out.append(rand(rng.randrange(3, 7), 2))      # tall
+    return out
+
+
+FIELDS = [(5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_elimination_matches_gauss_jordan(p, k):
+    K = make_field(p, k)
+    rng = random.Random(100 * p + k)
+    full_rank_squares = 0
+    for M in seeded_matrices(K, rng):
+        rref, pivots = reference_rref(K, M.rows, M.ncols)
+        assert span_basis(K, list(M.rows)) == (rref, pivots)
+        assert M.rank() == len(pivots)
+        null = M.nullspace()
+        assert null == reference_nullspace(K, M.rows, M.ncols)
+        assert all(c.is_zero() for v in null for c in M.mat_vec(v))
+        if M.nrows != M.ncols:
+            continue
+        n = M.nrows
+        augmented = [r + e for r, e in zip(M.rows, FieldMatrix.identity(K, n).rows)]
+        aug_rref, aug_pivots = reference_rref(K, augmented, 2 * n)
+        if aug_pivots[:n] == list(range(n)):
+            full_rank_squares += 1
+            assert M.inverse() == FieldMatrix(K, [row[n:] for row in aug_rref])
+        else:
+            with pytest.raises(ZeroDivisionError):
+                M.inverse()
+    assert full_rank_squares >= 2
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_span_basis_ignores_insertion_order(p, k):
+    K = make_field(p, k)
+    rng = random.Random(p * k)
+    for M in seeded_matrices(K, rng):
+        rows = list(M.rows)
+        rng.shuffle(rows)
+        assert span_basis(K, rows) == span_basis(K, list(M.rows))
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_matmul_matches_entrywise_sums(p, k):
+    K = make_field(p, k)
+    rng = random.Random(7 * p + k)
+    elems = list(K.elements())
+    for _ in range(6):
+        n, m, l = (rng.randrange(1, 5) for _ in range(3))
+        A = FieldMatrix(K, [[rng.choice(elems) for _ in range(m)] for _ in range(n)])
+        B = FieldMatrix(K, [[rng.choice(elems) for _ in range(l)] for _ in range(m)])
+        assert (A @ B).rows == FieldMatrix(K, reference_product(A, B)).rows
+
+
+def test_invariance_fails_for_one_non_invariant_generator():
+    F5 = make_field(5)
+    # both upper triangular matrices keep span(e0, e1); the cyclic shift moves e1 to e2
+    upper = FieldMatrix(F5, [[1, 2, 3], [0, 4, 1], [0, 0, 2]])
+    upper2 = FieldMatrix(F5, [[3, 0, 1], [1, 1, 0], [0, 0, 1]])
+    shift = FieldMatrix(F5, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    W = [tuple(F5.element(v) for v in row) for row in ((1, 0, 0), (0, 1, 0))]
+    assert is_invariant_subspace(W, [upper, upper2])
+    assert not is_invariant_subspace(W, [upper, upper2, shift])
+    assert not is_invariant_subspace(W, [shift, upper])
+
+
+def test_invariance_with_linearly_dependent_rows():
+    F7 = make_field(7)
+    vec = lambda *vs: tuple(F7.element(v) for v in vs)
+    upper = FieldMatrix(F7, [[1, 2, 3], [0, 4, 1], [0, 0, 2]])
+    # e0 and 3 e0 span a line that upper keeps but the swap moves
+    swap = FieldMatrix(F7, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    line = [vec(1, 0, 0), vec(3, 0, 0)]
+    assert is_invariant_subspace(line, [upper])
+    assert not is_invariant_subspace(line, [upper, swap])
+    # e0, e0 + e1, e1 span the invariant plane of upper, the swap keeps it too
+    plane = [vec(1, 0, 0), vec(1, 1, 0), vec(0, 1, 0)]
+    assert is_invariant_subspace(plane, [upper, swap])
+    shift = FieldMatrix(F7, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert not is_invariant_subspace(plane, [swap, shift])
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_invariance_matches_rank_test(p, k):
+    """is_invariant_subspace against rank(W) == rank(W u M W) on random
+    subspaces (mostly not invariant) and on spun ones (always invariant)."""
+    K = make_field(p, k)
+    rng = random.Random(31 * p + k)
+    elems = list(K.elements())
+    seen = set()
+    for _ in range(12):
+        n = rng.randrange(2, 6)
+        mats = [
+            FieldMatrix(K, [[rng.choice(elems) if rng.random() < 0.4 else K.zero()
+                             for _ in range(n)] for _ in range(n)])
+            for _ in range(rng.randrange(1, 4))
+        ]
+        seed = tuple(rng.choice(elems) for _ in range(n))
+        candidates = [[tuple(rng.choice(elems) for _ in range(n)) for _ in range(rng.randrange(1, n))]]
+        if any(not c.is_zero() for c in seed):
+            candidates.append(spin(K, [seed], mats))
+        for W in candidates:
+            base = len(reference_rref(K, W, n)[1])
+            expected = all(
+                len(reference_rref(K, list(W) + [m.mat_vec(w) for w in W], n)[1]) == base
+                for m in mats
+            )
+            assert is_invariant_subspace(W, mats) == expected
+            seen.add(expected)
+    assert seen == {True, False}
