@@ -24,7 +24,7 @@ from typing import Optional
 from .curve import CurveAutomorphism, InvalidCurveError
 from .ff import FieldDescriptor, _prime_divisors, is_prime, lift_to, make_field
 from .linalg import FieldMatrix, is_invariant_subspace, spin
-from .poly import Polynomial
+from .poly import Polynomial, roots_in_field
 
 
 class MeatAxeInconclusive(RuntimeError):
@@ -307,7 +307,7 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
         # has nullity one, and a nullity-one eigenvalue decides the module
         # by the spin and the dual spin; larger nullspaces only probe their
         # vectors for submodules
-        for _, lam in _roots_with_multiplicity(chi, elements):
+        for _, lam in _roots_with_multiplicity(chi):
             shifted = theta - identity.scale(lam)
             null = shifted.nullspace()
             if len(null) == 1:
@@ -321,33 +321,28 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
     )
 
 
-def _roots_with_multiplicity(chi, elements):
-    """Roots of chi in the scan list, sorted by (multiplicity, coeffs)."""
+def _roots_with_multiplicity(chi):
+    """Roots of chi in its field, sorted by (multiplicity, coeffs)."""
     roots = []
-    for lam in elements:
-        if chi.eval(lam).is_zero():
-            mult = 0
-            rem = chi
-            while not rem.is_zero() and rem.eval(lam).is_zero():
-                rem = _deflate(rem, lam)
-                mult += 1
-            roots.append((mult, lam))
+    for lam in roots_in_field(chi, chi.field):
+        mult, (rem, value) = 0, _deflate(chi, lam)
+        while value.is_zero():
+            mult += 1
+            rem, value = _deflate(rem, lam)
+        roots.append((mult, lam))
     roots.sort(key=lambda t: (t[0], t[1].coeffs))
     return roots
 
 
 def _deflate(f, lam):
-    """Synthetic division of f by (x - lam); caller guarantees f(lam) = 0."""
+    """Synthetic division of f by (x - lam): the quotient and f(lam)."""
     coeffs = f.coeffs
-    n = len(coeffs) - 1
-    if n <= 0:
-        return Polynomial.zero(f.field)
-    quotient = [None] * n
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
+    quotient = [None] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
         quotient[i] = acc
         acc = coeffs[i] + lam * acc
-    return Polynomial(f.field, quotient)
+    return Polynomial(f.field, quotient), acc
 
 
 def _norton_decide(field, dim, shifted, v, gens, gens_t):

@@ -104,6 +104,13 @@ def cmd_classify(args) -> int:
         if count_e2 is None and p_rank.verdict == "superspecial":
             count_e2 = curvemod.count_points(X, 2)
         consistent = cartier.superspecial_consistent(p_rank, count_e2)
+        if X.field.k == 1:
+            # Manin's congruence, asserted like the Weil interval:
+            # #X(F_{p^e}) = 1 - tr(A^e) (mod p) for every count taken
+            for pc in {pc.e: pc for pc in [*counts, count_e2] if pc}.values():
+                P = hw.matrix.power(pc.e)
+                if (pc.count - 1 + sum(P[i, i].lift() for i in range(hw.genus))) % X.p:
+                    raise AssertionError(f"#X(F_{X.p}^{pc.e}) violates the Manin congruence")
         results["hasse_witt"] = {
             "basis": list(hw.basis_labels),
             "entries": _matrix_json(hw.matrix),

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
+from array import array
 
 
 class FieldMismatchError(ValueError):
@@ -138,10 +141,42 @@ def _prime_divisors(n):
         yield n
 
 
+# Miller-Rabin with the prime bases 2..37 decides every n below this bound
+# exactly (Sorenson-Webster 2017); above it a witness still proves n composite.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality through the one trial-division loop: n is prime when its
-    smallest prime divisor is n itself."""
-    return n >= 2 and next(_prime_divisors(n)) == n
+    """Deterministic primality by Miller-Rabin with the bases 2..37.
+
+    Exact for n < 3.3 * 10^24.  Above that bound a composite with a
+    witness among the bases is still rejected; any other n raises
+    ValueError, since no certificate settles it.
+    """
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 37 * 37:  # no prime factor up to 37
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot certify that {n} >= 3.3e24 is prime")
+    return True
 
 
 def primes_up_to(n: int):
@@ -426,3 +461,119 @@ def lift_to(a: FieldElement, K: FieldDescriptor) -> FieldElement:
     if a.field.k != 1 or a.field.p != K.p:
         raise FieldMismatchError(f"no canonical embedding of {a.field} into {K}")
     return K.element(a.coeffs[0])
+
+
+# ---------------------------------------------------------------------------
+# Evaluation on discrete logarithms (Huber 1990, "Some comments on Zech's
+# logarithms"): every value of a polynomial over F_q from two int tables.
+
+
+def _primitive_element(K):
+    """The first g in `elements()` order with g^((q-1)/r) != 1 for every
+    prime r | q-1, that is a generator of K^x."""
+    Q, one = K.order - 1, K.one()
+    primes = list(_prime_divisors(Q))
+    return next(g for g in K.elements() if not g.is_zero() and all(g ** (Q // r) != one for r in primes))
+
+
+def _times(rows, x, p):
+    """The residues of g x, for g given by the rows of its matrix."""
+    return [sum(map(operator.mul, row, x)) % p for row in rows]
+
+
+_RUN = 256  # elements per int sum in _LogTables.__iter__, which bounds its memory
+
+
+class _LogTables:
+    """Tables of K = F_q that evaluate f = sum c_j x^j at every element.
+
+    g is the primitive element `_primitive_element` finds.  ``exp[i]`` is
+    g^i with its k residues packed s bits apart, where s is the bit length
+    of G (p-1) for groups of G nonzero terms, G as large as k s <= 64
+    allows: a sum of one entry per term of a group never carries from one
+    residue into the next.  Sums of several groups are reduced mod p
+    residue by residue.  ``log[z] = i`` for the narrow index
+    z = sum_r z_r p^r of g^i, and log[0] = -1.  A value z != 0 is an m-th
+    power exactly when log[z] % gcd(m, q-1) == 0 (Lidl-Niederreiter, ch. 5).
+    f must be nonzero.
+
+    The walk over g^i fills one block per a < M = (q-1)/(p-1): the norm
+    h = g^M is a primitive root of F_p, so the residues of g^(a + M b) =
+    h^b g^a are those of g^a times h^b, rotations of the powers of h, read
+    with 64-bit slots from one int.  The coefficients c_j lie in K or F_p.
+    The tables take 12 bytes per element of K.
+    """
+
+    __slots__ = ("field", "s", "exp", "log", "groups")
+
+    def __init__(self, K: "FieldDescriptor", coeffs):
+        p, k, Q = K.p, K.k, K.order - 1
+        terms = [(sum(r * p**u for u, r in enumerate(c.coeffs)), j)
+                 for j, c in enumerate(coeffs) if not c.is_zero()]
+        size = ((1 << 64 // k) - 1) // (p - 1)
+        s = (min(len(terms), size) * (p - 1)).bit_length()
+        M = Q // (p - 1)
+        g = _primitive_element(K)
+        rows = list(zip(*((g * K.element([0] * u + [1])).coeffs for u in range(k))))
+        h = (g**M).coeffs[0]
+        hpow, hlog, c = array("Q"), array("i", [-1]) * p, 1
+        for b in range(p - 1):
+            hpow.append(c)
+            hlog[c] = b
+            c = c * h % p
+        if k == 1:
+            exp, log = hpow, hlog
+        else:
+            twice = int.from_bytes((hpow + hpow).tobytes(), sys.byteorder)
+            block, width = (1 << 64 * (p - 1)) - 1, 8 * (p - 1)
+            exp, log = array("Q", [0]) * Q, array("i", [-1]) * (Q + 1)
+            x = [1] + [0] * (k - 1)
+            for a in range(M):
+                rots = [twice >> 64 * hlog[r] & block if r else 0 for r in x]
+                packed = sum(rot << s * u for u, rot in enumerate(rots))
+                exp[a::M] = array("Q", packed.to_bytes(width, sys.byteorder))
+                narrow = sum(rot * p**u for u, rot in enumerate(rots))
+                for z, i in zip(array("Q", narrow.to_bytes(width, sys.byteorder)), range(a, Q, M)):
+                    log[z] = i
+                x = _times(rows, x, p)
+        self.field, self.s, self.exp, self.log = K, s, exp, log
+        terms = [(log[z], j) for z, j in terms]
+        self.groups = [terms[a:a + size] for a in range(0, len(terms), size)]
+
+    def element(self, i: int) -> "FieldElement":
+        """g^i as a field element."""
+        K, s, packed = self.field, self.s, self.exp[i % (self.field.order - 1)]
+        return FieldElement(K, tuple(packed >> s * u & ((1 << s) - 1) for u in range(K.k)))
+
+    def __iter__(self):
+        """log f(0), then log f(g^i) for i = 0..q-2; -1 where f vanishes.
+
+        Term j contributes exp[(log c_j + i j) mod (q-1)] at g^i.  For a run
+        of _RUN consecutive i, strided slices of exp (wrapping past its end)
+        read every term's entries at once, and one int sum per group of
+        terms, a 64-bit slot per element, adds them.
+        """
+        K, s, exp, log = self.field, self.s, self.exp, self.log
+        p, Q, mask = K.p, K.order - 1, (1 << s) - 1
+        shifts = range(s * (K.k - 1), -1, -s)
+        yield next((L for group in self.groups for L, j in group if j == 0), -1)
+        for i0 in range(0, Q, _RUN):
+            n, sums = min(_RUN, Q - i0), []
+            for group in self.groups:
+                total = 0
+                for L, j in group:
+                    step, start = j % Q, (L + i0 * j) % Q
+                    seq = array("Q") if step else array("Q", [exp[L]]) * n
+                    while len(seq) < n:
+                        run = exp[start:start + step * (n - len(seq)):step]
+                        seq.extend(run)
+                        start += step * len(run) - Q
+                    total += int.from_bytes(seq.tobytes(), sys.byteorder)
+                sums.append(array("Q", total.to_bytes(8 * n, sys.byteorder)))
+            words = sums[0] if len(sums) == 1 else [
+                sum((sum(w >> t & mask for w in ws) % p) << t for t in shifts) for ws in zip(*sums)]
+            for packed in words:
+                z = 0
+                for t in shifts:
+                    z = z * p + (packed >> t & mask) % p
+                yield log[z]

@@ -9,7 +9,8 @@ over F_{p^k}, k >= 2, products are schoolbook.
 
 from __future__ import annotations
 
-from .ff import FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _polymul, lift_to
+from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _LogTables,
+                 _polymul, lift_to)
 
 
 class Polynomial:
@@ -225,11 +226,13 @@ def is_squarefree(f: Polynomial) -> bool:
     return poly_gcd(f, d).degree == 0
 
 
+# roots_in_field's tables take 12 bytes per element, about 200 MB at 2^24
 ROOT_ENUMERATION_LIMIT = 2**24
 
 
 def roots_in_field(f: Polynomial, K: FieldDescriptor) -> set:
-    """Exact root set of f in K, by evaluation over the whole field.
+    """Exact root set of f in K: the x = 0 or g^i where the discrete-log
+    tables of K (`ff._LogTables`) find f(x) = 0.
 
     K must equal the coefficient field or be an extension of a prime
     coefficient field.  Guarded by an enumeration bound on |K|.
@@ -240,5 +243,5 @@ def roots_in_field(f: Polynomial, K: FieldDescriptor) -> set:
         raise FieldMismatchError("K is not an extension of the coefficient field")
     if f.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
-    g = f if f.field == K else f.lift_coeffs(K)
-    return {a for a in K.elements() if g.eval(a).is_zero()}
+    logs = _LogTables(K, f.coeffs)
+    return {K.zero() if n == 0 else logs.element(n - 1) for n, L in enumerate(logs) if L < 0}

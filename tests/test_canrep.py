@@ -4,6 +4,7 @@ import pytest
 
 from superell.canrep import (
     MeatAxeInconclusive,
+    _roots_with_multiplicity,
     build_basis,
     canonical_module,
     commutant_dimension,
@@ -18,6 +19,7 @@ from superell.canrep import (
 from superell.curve import CurveAutomorphism
 from superell.ff import make_field
 from superell.linalg import FieldMatrix, is_invariant_subspace
+from superell.poly import Polynomial, poly_pow
 
 
 def all_divisor_params(p_max):
@@ -220,6 +222,24 @@ def test_two_kind_subgroup_for_maximal_m_is_block_reducible():
         col[r] = K.one()
         cols.append(tuple(col))
     assert is_invariant_subspace(cols, gens)
+
+
+def test_roots_with_multiplicity_from_known_factors():
+    rng = random.Random(7)
+    K = make_field(5, 2)
+    elements = list(K.elements())
+    x = Polynomial.x(K)
+    nonsquare = next(c for c in elements if not c.is_zero() and c**12 != K.one())
+    for _ in range(10):
+        roots = rng.sample(elements, 3)
+        mults = [rng.randrange(1, 4) for _ in roots]
+        chi = Polynomial.one(K)
+        for lam, n in zip(roots, mults):
+            chi = chi * poly_pow(x - Polynomial(K, [lam]), n)
+        # times a factor with no root in F_25: x^2 - c for a non-square c
+        chi = chi * (x * x - Polynomial(K, [nonsquare]))
+        want = sorted(zip(mults, roots), key=lambda t: (t[0], t[1].coeffs))
+        assert _roots_with_multiplicity(chi) == want
 
 
 def test_verdicts_are_deterministic_for_fixed_seed():

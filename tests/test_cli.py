@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -64,6 +66,35 @@ def test_classify_even_modulus_with_huge_cofactor_exits_1(capsys):
     code, out, err = run(capsys, ["classify", f"y^2 = x^5 - x mod {2 * (2**61 - 1)}"])
     assert code == 1
     assert "not prime" in err
+
+
+def test_classify_large_prime_modulus_exits_1_at_once(capsys):
+    # 2^61 - 1 is certified prime at once, then refused by the count's guard
+    start = time.process_time()
+    code, out, err = run(capsys, ["classify", "y^2 = x^5 - x mod 2305843009213693951", "--e", "1"])
+    assert (code, out) == (1, "")
+    assert "enumeration limit" in err
+    assert time.process_time() - start < 5
+    code, out, err = run(capsys, ["classify", f"y^2 = x^5 - x mod {2**127 - 1}", "--e", "1"])
+    assert code == 1 and "cannot certify" in err
+
+
+@pytest.mark.parametrize("curve, e", [
+    ("y^2 = x^7 + 3*x + 1 mod 31", "1,2"),
+    ("y^2 = x^5 - x mod 5", "1"),  # superspecial: the F_25 count made for the verdict
+])
+def test_classify_asserts_the_manin_congruence(capsys, monkeypatch, curve, e):
+    # the true counts pass, for every e counted; one point too many does not
+    assert run(capsys, ["classify", curve, "--e", "1,2,3"])[0] == 0
+    count_points = curvemod.count_points
+
+    def one_too_many(X, n):
+        pc = count_points(X, n)
+        return dataclasses.replace(pc, count=pc.count + 1) if n == 2 else pc
+
+    monkeypatch.setattr(curvemod, "count_points", one_too_many)
+    with pytest.raises(AssertionError, match="Manin"):
+        cli.main(["classify", curve, "--e", e])
 
 
 def test_classify_inconsistent_twist_exits_2(capsys):

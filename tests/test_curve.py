@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from superell.canrep import sl2_generators, zeta_of_order
@@ -16,6 +18,7 @@ from superell.curve import (
     enumerate_points,
     genus,
     orbit_partition,
+    point_sort_key,
     _normalize_point,
 )
 from superell.ff import make_field
@@ -26,17 +29,20 @@ def curve(m, coeffs, p):
     return SuperellipticCurve(m, Polynomial(make_field(p), coeffs))
 
 
-def pair_count_oracle(X, e):
-    """Independent O(q^2) affine enumeration plus the infinity rule."""
+def pair_points_oracle(X, e):
+    """Independent O(q^2) affine enumeration: every (x, y) with y^m = f(x)."""
     K = make_field(X.p, e)
     f = X.f.lift_coeffs(K)
-    n = 0
+    points = []
     for x in K.elements():
         fx = f.eval(x)
-        for y in K.elements():
-            if y**X.m == fx:
-                n += 1
-    return n + count_infinite_points(X, K)
+        points.extend((x, y) for y in K.elements() if y**X.m == fx)
+    return points
+
+
+def pair_count_oracle(X, e):
+    """The affine pairs plus the infinity rule."""
+    return len(pair_points_oracle(X, e)) + count_infinite_points(X, make_field(X.p, e))
 
 
 # -- model validation -------------------------------------------------------
@@ -75,21 +81,69 @@ def test_genus_examples():
 
 
 def test_count_matches_pair_oracle():
+    F9, F25 = make_field(3, 2), make_field(5, 2)
     cases = [
-        curve(2, [0, -1, 0, 0, 0, 1], 5),   # genus 2, odd degree
-        curve(2, [0, -1, 0, 0, 0, 1], 3),
-        curve(4, [0, -1, 0, 1], 3),         # Artin-Schreier quotient
-        curve(3, [0, -1, 0, 0, 0, 1], 5),
-        curve(2, [2, 1, 0, 0, 0, 0, 1], 5), # even degree, infinity rule
-        curve(3, [1, 0, 0, 0, 1], 7),       # general, genus 3
-        curve(4, [1, 1, 0, 1], 5),          # general, genus 3
-        curve(3, [1, 0, 0, 1], 7),          # delta = 3: three points at infinity
+        (curve(2, [0, -1, 0, 0, 0, 1], 5), (1, 2, 3)),   # genus 2, odd degree
+        (curve(2, [0, -1, 0, 0, 0, 1], 3), (1, 2, 3)),
+        (curve(4, [0, -1, 0, 1], 3), (1, 2, 4)),         # Artin-Schreier quotient
+        (curve(3, [0, -1, 0, 0, 0, 1], 5), (1, 2, 3)),
+        (curve(2, [2, 1, 0, 0, 0, 0, 1], 5), (1, 2)),    # even degree, infinity rule
+        (curve(3, [1, 0, 0, 0, 1], 7), (1, 2)),          # general, genus 3
+        (curve(4, [1, 1, 0, 1], 5), (1, 2, 3)),          # general, genus 3
+        (curve(3, [1, 0, 0, 1], 7), (1, 2)),             # delta = 3: three points at infinity
+        # Hermitian y^6 = x^5 + x: gcd(6, 24) = 6 does not divide p - 1 = 4
+        (curve(6, [0, 1, 0, 0, 0, 1], 5), (1, 2)),
+        # F_81 has no primitive t + c under its pinned modulus
+        (curve(2, [1, 2, 0, 1], 3), (4,)),
+        # curves over F_{p^k}, counted over their own field (k = e)
+        (SuperellipticCurve(2, Polynomial(F9, [F9.gen(), 1, 0, 1])), (2,)),
+        (SuperellipticCurve(3, Polynomial(F25, [1, F25.element([2, 1]), 0, 0, 1])), (2,)),
     ]
-    for X in cases:
-        for e in (1, 2):
+    for X, es in cases:
+        for e in es:
             count = count_points(X, e).count
             assert count == pair_count_oracle(X, e)
-            assert len(enumerate_points(X, e)) == count
+            pts = enumerate_points(X, e)
+            assert len(pts) == count
+            assert [P for P in pts if P[0] != "inf"] == sorted(pair_points_oracle(X, e), key=point_sort_key)
+
+
+def test_counts_where_no_t_plus_c_is_primitive():
+    # under the pinned moduli of F_81 and F_625 no t + c generates the
+    # multiplicative group, so the tables must search further
+    for p, primes in ((3, (2, 5)), (5, (2, 3, 13))):
+        K = make_field(p, 4)
+        Q, t = K.order - 1, K.gen()
+        assert all(any((t + K.element(c)) ** (Q // r) == K.one() for r in primes) for c in range(p))
+        # y^2 = x^3 + x + 1 against the quadratic character by Euler's criterion
+        X = curve(2, [1, 1, 0, 1], p)
+        f = X.f.lift_coeffs(K)
+        values = [f.eval(x) for x in K.elements()]
+        affine = sum(1 if v.is_zero() else 2 if v ** (Q // 2) == K.one() else 0 for v in values)
+        assert count_points(X, 4).count == affine + count_infinite_points(X, K)
+
+
+def test_count_adds_wide_term_sums_in_groups():
+    # 32 nonzero terms over F_(2^11): 11 residues of 6 bits overflow a 64-bit
+    # word, so the kernel adds the terms in two groups; y^23 = f(x) against
+    # the character of order 23 by Euler's criterion
+    X = curve(23, [1, 0] + [1] * 31, 2)
+    K = make_field(2, 11)
+    Q, f = K.order - 1, X.f.lift_coeffs(K)
+    values = {x: f.eval(x) for x in K.elements()}
+    affine = sum(1 if v.is_zero() else 23 if v ** (Q // 23) == K.one() else 0 for v in values.values())
+    assert count_points(X, 11).count == affine + count_infinite_points(X, K)
+    points = [pt for pt in enumerate_points(X, 11) if pt[0] != "inf"]
+    assert len(points) == affine and all(y**23 == values[x] for x, y in points)
+
+
+def test_count_over_f_1009_squared_takes_seconds():
+    X = curve(2, [5, 0, 1, 0, 0, 0, 0, 0, 0, 1], 1009)
+    start = time.process_time()
+    pc = count_points(X, 2)
+    elapsed = time.process_time() - start
+    assert pc.count == 1018480
+    assert elapsed < 10, f"count over F_(1009^2) took {elapsed:.1f} s of CPU"
 
 
 def test_bolza_count_over_f25_is_minimal():

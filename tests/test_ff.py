@@ -4,6 +4,7 @@ import pytest
 
 from superell.ff import (
     FieldMismatchError,
+    _LogTables,
     NonPrimeModulusError,
     frobenius,
     is_prime,
@@ -11,6 +12,7 @@ from superell.ff import (
     make_field,
     primes_up_to,
 )
+from superell.poly import Polynomial
 
 
 def brute_force_smallest_irreducible_quadratic(p):
@@ -175,3 +177,52 @@ def test_is_prime_agrees_with_the_sieve():
     assert not is_prime(1000003 * 3) and not is_prime(1009**2)
     # a small factor ends the search at once, however large the cofactor
     assert not is_prime(2 * (2**61 - 1))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2; 2, 3, 5, 7; and 2, ..., 23
+    assert not any(is_prime(n) for n in (2047, 3215031751, 3825123056546413051))
+    assert is_prime(2**61 - 1) and is_prime(2**79 - 67)  # both below 3.3e24
+    # above the bound a witness still proves a product of two primes composite
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_is_prime_refuses_what_it_cannot_certify():
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(2**127 - 1)
+    with pytest.raises(ValueError):
+        make_field(2**127 - 1)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (5, 4), (7, 2), (13, 1)])
+def test_log_tables_evaluate_like_horner(p, k):
+    rng = random.Random(100 * p + k)
+    Fp, K = make_field(p), make_field(p, k)
+    for _ in range(6):
+        n = rng.randrange(0, 9)
+        if k > 1 and rng.random() < 0.5:
+            f = Polynomial(K, [K.element([rng.randrange(p) for _ in range(k)]) for _ in range(n)] + [K.one()])
+        else:
+            f = Polynomial(Fp, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+        tables = _LogTables(K, f.coeffs)
+        xs = [K.zero()] + [tables.element(i) for i in range(K.order - 1)]
+        assert set(xs) == set(K.elements())  # g is primitive
+        for x, L in zip(xs, tables):
+            v = f.eval(x)
+            assert v.is_zero() if L < 0 else tables.element(L) == v
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 13, 16), (3, 10, 32)])
+def test_log_tables_add_wide_sums_in_groups(p, k, n):
+    # the k residues of a sum of n table entries overflow a 64-bit word
+    # (16 terms over F_(2^13): 13 * 5 > 64), so the terms go in two groups
+    # whose sums are reduced mod p before the lookup
+    K = make_field(p, k)
+    f = Polynomial(make_field(p), [1, 0] + [1] * (n - 1))
+    tables = _LogTables(K, f.coeffs)
+    assert len(tables.groups) == 2
+    logs = list(tables)
+    assert tables.element(logs[0]) == K.one()  # f(0)
+    for i in range(0, K.order - 1, 101):
+        v = f.eval(tables.element(i))
+        assert v.is_zero() if logs[i + 1] < 0 else tables.element(logs[i + 1]) == v

@@ -113,6 +113,23 @@ def test_roots_by_exhaustive_evaluation():
     assert got == {t, -t}
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_roots_in_field_match_brute_force_over_fp2(p):
+    rng = random.Random(p)
+    Fp, K = make_field(p), make_field(p, 2)
+    for _ in range(25):
+        n = rng.randrange(1, 9)
+        f = Polynomial(Fp, [rng.randrange(p) for _ in range(n)] + [1])
+        lifted = f.lift_coeffs(K)
+        assert roots_in_field(f, K) == {a for a in K.elements() if lifted.eval(a).is_zero()}
+        g = Polynomial(K, [K.element([rng.randrange(p), rng.randrange(p)]) for _ in range(n)] + [1])
+        assert roots_in_field(g, K) == {a for a in K.elements() if g.eval(a).is_zero()}
+    # every element is a root of x^q - x, and x^q - x + 1 has none
+    q = K.order
+    assert roots_in_field(Polynomial(Fp, [0, -1] + [0] * (q - 2) + [1]), K) == set(K.elements())
+    assert roots_in_field(Polynomial(Fp, [1, -1] + [0] * (q - 2) + [1]), K) == set()
+
+
 def test_root_count_bounded_by_degree():
     rng = random.Random(3)
     F7 = make_field(7)
