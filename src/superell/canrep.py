@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .curve import CurveAutomorphism, InvalidCurveError
-from .ff import FieldDescriptor, _prime_divisors, is_prime, lift_to, make_field
+from .ff import FieldDescriptor, _mul_matrix, _power, _prime_divisors, is_prime, lift_to, make_field
 from .linalg import FieldMatrix, is_invariant_subspace, spin
 from .poly import Polynomial, roots_in_field
 
@@ -81,10 +82,11 @@ def zeta_of_order(K: FieldDescriptor, m: int):
     if m == 1:
         return K.one()
     prime_divs = list(_prime_divisors(m))
+    one = K.one().coeffs
     for z in K.elements():
         if z.is_zero():
             continue
-        if z**m == K.one() and all(z ** (m // r) != K.one() for r in prime_divs):
+        if _power(K, z.coeffs, m) == one and all(_power(K, z.coeffs, m // r) != one for r in prime_divs):
             return z
     raise AssertionError("unreachable: cyclic group has elements of each order")
 
@@ -296,7 +298,6 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
     if dim == 1:
         return IrreducibilityVerdict("absolutely-irreducible", None, 1)
     rng = random.Random(seed)
-    gens_t = [g.transpose() for g in gens]
     pool = list(gens)
     elements = list(field.elements())
     identity = FieldMatrix.identity(field, dim)
@@ -311,9 +312,9 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
             shifted = theta - identity.scale(lam)
             null = shifted.nullspace()
             if len(null) == 1:
-                return _norton_decide(field, dim, shifted, null[0], gens, gens_t)
-            for v in null:
-                sub = spin(field, [v], gens)
+                return _norton_decide(field, dim, shifted, null, gens)
+            for i in range(len(null)):
+                sub = spin(field, null[i:i + 1], gens)
                 if len(sub) < dim:
                     return _reducible(field, sub, gens)
     raise MeatAxeInconclusive(
@@ -324,30 +325,35 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
 def _roots_with_multiplicity(chi):
     """Roots of chi in its field, sorted by (multiplicity, coeffs)."""
     roots = []
+    coeffs = [c.coeffs for c in chi.coeffs]
     for lam in roots_in_field(chi, chi.field):
-        mult, (rem, value) = 0, _deflate(chi, lam)
-        while value.is_zero():
-            mult += 1
-            rem, value = _deflate(rem, lam)
+        # divide lam's factors out, so later roots deflate a shorter quotient
+        rows = _mul_matrix(chi.field, lam.coeffs)
+        mult, (quotient, value) = 0, _deflate(coeffs, rows, chi.field.p)
+        while not any(value):
+            mult, coeffs = mult + 1, quotient
+            quotient, value = _deflate(coeffs, rows, chi.field.p)
         roots.append((mult, lam))
     roots.sort(key=lambda t: (t[0], t[1].coeffs))
     return roots
 
 
-def _deflate(f, lam):
-    """Synthetic division of f by (x - lam): the quotient and f(lam)."""
-    coeffs = f.coeffs
+def _deflate(coeffs, rows, p):
+    """Synthetic division by (x - lam) of the polynomial with residue-tuple
+    coefficients, lam given by the rows of its multiplication matrix: the
+    quotient and the value at lam."""
     quotient = [None] * (len(coeffs) - 1)
     acc = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         quotient[i] = acc
-        acc = coeffs[i] + lam * acc
-    return Polynomial(f.field, quotient), acc
+        acc = [(c + sum(map(mul, r, acc))) % p for c, r in zip(coeffs[i], rows)]
+    return quotient, acc
 
 
-def _norton_decide(field, dim, shifted, v, gens, gens_t):
+def _norton_decide(field, dim, shifted, null, gens):
     """Decide the module from the null vector v of shifted = theta - lam I,
-    where lam is a nullity-one eigenvalue of an algebra element theta.
+    given as its one-row nullspace `null`, where lam is a nullity-one
+    eigenvalue of an algebra element theta.
 
     Spins v through the generators; a proper closure is a submodule.
     Otherwise the transposed null vector is spun through the transposed
@@ -355,20 +361,20 @@ def _norton_decide(field, dim, shifted, v, gens, gens_t):
     annihilator, and full closures on both sides certify absolute
     irreducibility (the eigenline forces a scalar commutant).
     """
-    sub = spin(field, [v], gens)
+    sub = spin(field, null, gens)
     if len(sub) < dim:
         return _reducible(field, sub, gens)
-    dual = spin(field, [shifted.transpose().nullspace()[0]], gens_t)
+    dual = spin(field, shifted.transpose().nullspace()[:1], [g.transpose() for g in gens])
     if len(dual) < dim:
-        ann = FieldMatrix(field, [list(r) for r in dual]).nullspace()
+        ann = FieldMatrix(field, dual).nullspace()
         return _reducible(field, ann, gens)
     return IrreducibilityVerdict("absolutely-irreducible", None, 1)
 
 
 def _reducible(field, basis_rows, gens) -> IrreducibilityVerdict:
-    if not is_invariant_subspace(list(basis_rows), gens):
+    if not is_invariant_subspace(basis_rows, gens):
         raise AssertionError("witness failed the invariance rank test")
-    witness = FieldMatrix.from_columns(field, [list(r) for r in basis_rows])
+    witness = FieldMatrix.from_columns(field, basis_rows)
     return IrreducibilityVerdict("reducible", witness, None)
 
 

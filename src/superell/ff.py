@@ -464,6 +464,31 @@ def lift_to(a: FieldElement, K: FieldDescriptor) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# Products and powers on residue tuples, without FieldElement.
+
+
+def _mul_matrix(K, c):
+    """Rows of the F_p-matrix of y -> c y on residue vectors of K: column b
+    holds the residues of c x^b, folded through `_reductions`."""
+    cols = [list(c)]
+    for _ in range(K.k - 1):
+        top = cols[-1][-1]
+        cols.append([(a + top * r) % K.p for a, r in zip([0] + cols[-1][:-1], K._reductions[0])])
+    return list(zip(*cols))
+
+
+def _times(rows, x, p):
+    """The residues of g x, for g given by the rows of its matrix."""
+    return [sum(map(operator.mul, row, x)) % p for row in rows]
+
+
+def _power(K, c, e):
+    """The residues of c^e for c given by its residues, e >= 0."""
+    one = (1,) + (0,) * (K.k - 1)
+    return tuple(_binary_power(c, e, lambda a, b: _times(_mul_matrix(K, a), b, K.p), one))
+
+
+# ---------------------------------------------------------------------------
 # Evaluation on discrete logarithms (Huber 1990, "Some comments on Zech's
 # logarithms"): every value of a polynomial over F_q from two int tables.
 
@@ -471,14 +496,10 @@ def lift_to(a: FieldElement, K: FieldDescriptor) -> FieldElement:
 def _primitive_element(K):
     """The first g in `elements()` order with g^((q-1)/r) != 1 for every
     prime r | q-1, that is a generator of K^x."""
-    Q, one = K.order - 1, K.one()
+    Q, one = K.order - 1, K.one().coeffs
     primes = list(_prime_divisors(Q))
-    return next(g for g in K.elements() if not g.is_zero() and all(g ** (Q // r) != one for r in primes))
-
-
-def _times(rows, x, p):
-    """The residues of g x, for g given by the rows of its matrix."""
-    return [sum(map(operator.mul, row, x)) % p for row in rows]
+    return next(g for g in K.elements()
+                if not g.is_zero() and all(_power(K, g.coeffs, Q // r) != one for r in primes))
 
 
 _RUN = 256  # elements per int sum in _LogTables.__iter__, which bounds its memory
@@ -514,8 +535,8 @@ class _LogTables:
         s = (min(len(terms), size) * (p - 1)).bit_length()
         M = Q // (p - 1)
         g = _primitive_element(K)
-        rows = list(zip(*((g * K.element([0] * u + [1])).coeffs for u in range(k))))
-        h = (g**M).coeffs[0]
+        rows = _mul_matrix(K, g.coeffs)
+        h = _power(K, g.coeffs, M)[0]
         hpow, hlog, c = array("Q"), array("i", [-1]) * p, 1
         for b in range(p - 1):
             hpow.append(c)

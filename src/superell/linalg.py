@@ -1,87 +1,250 @@
 """Dense matrices over a finite field: rank, nullspace, char poly, spinning.
 
-Everything is exact.  One elimination kernel, `_EchelonAccumulator`,
-serves every routine: it keeps a reduced echelon basis and inserts one
-vector at a time, pivoting on the vector's first nonzero column.  Rank,
+Everything is exact.  `FieldMatrix` stores int residues and every routine
+runs on them; `FieldElement` appears only at the public boundary.
+
+Layout.  A vector of n entries over F_q, q = p^k, is a flat sequence of
+n k residues in [0, p): entry j holds positions j k .. j k + k - 1, so the
+residue planes (residue u of every entry) are the strided slices [u::k].
+A matrix keeps one such tuple per row.
+
+Packing.  For arithmetic a vector is packed into one int with w bytes per
+residue: slot j k + u starts at bit 8 w (j k + u).  Adding packed ints adds
+every slot, and multiplying by an int in [0, p) scales every slot, so one
+big-int operation does a whole vector's work as long as no slot reaches
+2^(8 w).  An F_q scalar c = sum_b c_b x^b acts through the k packed x^b
+multiples of a vector, c v = sum_b c_b (x^b v), where x^b v is taken
+entrywise and folded through `FieldDescriptor._reductions`.  A difference
+v - c r is computed as v + (-c) r, so every multiplier lies in [0, p) and no
+slot goes negative.  Slots are reduced mod p only when a vector is
+normalised into an echelon basis or read out.  The bounds:
+
+  * M v over n columns is sum_(j,b) v_(j,b) (x^b col_j), one C-level sum
+    over the n k packed x^b column multiples that the matrix caches per
+    width; its slots are at most n k (p-1)^2.
+  * `_EchelonAccumulator`, the one elimination kernel, keeps the x^b
+    multiples of its rows.  A stored slot starts below p and grows by at
+    most k (p-1)^2 each time a later row clears its pivot column, so it
+    stays at most B = (p-1) + d k (p-1)^2 for a basis of at most d rows.
+    Reducing a vector whose slots are at most s0 gives slots at most
+    s0 + d k (p-1) B.
+  * `_times_x`, which runs only for k >= 2, forms slots of at most
+    p (p-1) before reducing them: within both bounds above, since then
+    n k >= 2.  Normalising a row forms at most k (p-1)^2, within the
+    accumulator's bound.
+
+`_slot_bytes` turns a bound into w, rounded up to 1, 2, 4 or 8 bytes so
+that `array` unpacks a vector at C speed.
+
+The accumulator keeps a reduced echelon basis in insertion order.  Rank,
 nullspace, inverse and `span_basis` insert a matrix's rows and sort the
 basis by pivot, which gives the reduced row echelon form; that form is
-unique, so the results do not depend on the order of insertion.
-`spin` and `is_invariant_subspace` grow and query the basis directly.
+unique, so the results do not depend on the order of insertion.  `spin`,
+`is_invariant_subspace` and `charpoly` grow and query the basis directly.
 """
 
 from __future__ import annotations
 
-from .ff import FieldDescriptor, FieldMismatchError, _binary_power, frobenius
+import sys
+from array import array
+from collections import deque
+from collections.abc import Sequence
+from itertools import chain
+from operator import add, mul
+
+from .ff import FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _mul_matrix, frobenius
 from .poly import Polynomial
+
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for slot values up to bound: a power of two up to 8,
+    or the exact byte count above."""
+    size = max(1, (bound.bit_length() + 7) // 8)
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _pack(values, w):
+    """One int holding the values, each below 2^(8 w), in w-byte slots."""
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+    a = array(code, values)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return int.from_bytes(a.tobytes(), "little")
+
+
+def _unpack(x, count, w):
+    """The count w-byte slot values of the packed int x >= 0."""
+    data = x.to_bytes(count * w, "little")
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+    a = array(code, data)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tolist()
+
+
+def _residues(field, vec):
+    """Flat residues of a vector of ints, coefficient sequences or FieldElements."""
+    out = []
+    for c in vec:
+        out.extend(c.coeffs if c.__class__ is FieldElement and c.field is field else field.element(c).coeffs)
+    return out
+
+
+def _elements(field, vec):
+    """The FieldElement tuple of a flat residue vector."""
+    k = field.k
+    return tuple(FieldElement(field, tuple(vec[i:i + k])) for i in range(0, len(vec), k))
+
+
+def _apply(vec, rows, p, k):
+    """The k x k F_p-matrix `rows` applied to every entry of a flat residue vector."""
+    if k == 1:
+        c = rows[0][0]
+        return [a * c % p for a in vec]
+    planes = [vec[u::k] for u in range(k)]
+    out = [0] * len(vec)
+    for u, r in enumerate(rows):
+        acc = [0] * len(planes[0])
+        for c, plane in zip(r, planes):
+            if c:
+                acc = [s + c * a for s, a in zip(acc, plane)]
+        out[u::k] = [s % p for s in acc]
+    return out
+
+
+def _times_x(X, count, field, w):
+    """x v for the packed vector X of count entries with slots below p: each
+    entry's residues move up one slot and the top one folds back through
+    `_reductions`; the result is packed with its slots reduced mod p."""
+    p, k, s = field.p, field.k, 8 * w
+    comb = int.from_bytes((b"\x01" + bytes(w * k - 1)) * count, "little")
+    top = X >> s * (k - 1) & comb * ((1 << s) - 1)
+    y = ((X & comb * ((1 << s * (k - 1)) - 1)) << s) + sum(r * top << s * u for u, r in enumerate(field._reductions[0]))
+    return _pack([c % p for c in _unpack(y, count * k, w)], w)
+
+
+def _poly_mul(a, b, field):
+    """Product of two polynomials over the field, each a flat residue vector
+    of its coefficients in ascending order."""
+    p, k = field.p, field.k
+    out = [0] * (len(a) + len(b) - k)
+    for i in range(0, len(a), k):
+        if any(a[i:i + k]):
+            out[i:i + len(b)] = map(add, out[i:i + len(b)], _apply(b, _mul_matrix(field, a[i:i + k]), p, k))
+    return [c % p for c in out]
+
+
+class _Rows(Sequence):
+    """Vectors kept as flat residue tuples, read as FieldElement tuples.
+
+    `spin` and `nullspace` return it, so that their results feed `spin`,
+    `is_invariant_subspace` and `FieldMatrix` without a round trip through
+    FieldElement; slicing keeps the residues.
+    """
+
+    __slots__ = ("field", "residues")
+
+    def __init__(self, field, residues):
+        self.field = field
+        self.residues = residues
+
+    def __len__(self):
+        return len(self.residues)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Rows(self.field, self.residues[i])
+        return _elements(self.field, self.residues[i])
+
+    def __eq__(self, other):
+        return isinstance(other, (list, tuple, _Rows)) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+def _residue_rows(field, vectors):
+    if isinstance(vectors, _Rows) and vectors.field == field:
+        return vectors.residues
+    return [_residues(field, v) for v in vectors]
 
 
 class FieldMatrix:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_packed")
 
     def __init__(self, field: FieldDescriptor, rows):
+        fixed = tuple(tuple(r) for r in _residue_rows(field, rows))
+        if any(len(r) != len(fixed[0]) for r in fixed):
+            raise ValueError("ragged matrix rows")
         self.field = field
-        fixed = []
-        width = None
-        for row in rows:
-            r = tuple(field.element(c) for c in row)
-            if width is None:
-                width = len(r)
-            elif len(r) != width:
-                raise ValueError("ragged matrix rows")
-            fixed.append(r)
-        self.rows = tuple(fixed)
+        self._rows = fixed
+        self._packed = {}
         self.nrows = len(fixed)
-        self.ncols = width if width is not None else 0
+        self.ncols = len(fixed[0]) // field.k if fixed else 0
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        k = field.k
+        return cls(field, _Rows(field, [(0,) * (i * k) + (1,) + (0,) * ((n - i) * k - 1) for i in range(n)]))
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        zero = field.zero()
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        return cls(field, _Rows(field, [(0,) * (ncols * field.k)] * nrows))
 
     @classmethod
     def from_columns(cls, field, cols):
         if not cols:
             return cls(field, [])
-        n = len(cols[0])
-        return cls(field, [[col[i] for col in cols] for i in range(n)])
+        return cls(field, cols).transpose()
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def rows(self):
+        """The rows as tuples of FieldElements."""
+        return tuple(_elements(self.field, r) for r in self._rows)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        row, k = self._rows[i], self.field.k
+        j = range(self.ncols)[j]
+        return FieldElement(self.field, row[j * k:j * k + k])
 
     def column(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        return tuple(self[i, j] for i in range(self.nrows))
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(self.transpose().rows)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        k = self.field.k
+        flat = list(zip(*self._rows))
+        if k > 1:
+            flat = [tuple(chain.from_iterable(zip(*flat[j:j + k]))) for j in range(0, len(flat), k)]
+        return FieldMatrix(self.field, _Rows(self.field, flat))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.rows for c in row)
+        return not any(map(any, self._rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)
             and self.field == other.field
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.rows))
+        return hash((self.field.p, self.field.k, self._rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(c) for c in row) for row in self.rows)
@@ -95,41 +258,60 @@ class FieldMatrix:
         if other.field != self.field:
             raise FieldMismatchError("matrices over different fields")
 
+    def _apply_entrywise(self, rows):
+        """The matrix with the k x k F_p-matrix `rows` applied to every entry."""
+        F, n = self.field, self.ncols * self.field.k
+        flat = _apply(list(chain.from_iterable(self._rows)), rows, F.p, F.k)
+        return FieldMatrix(F, _Rows(F, [tuple(flat[i * n:i * n + n]) for i in range(self.nrows)]))
+
     def __add__(self, other):
         self._check(other)
-        return FieldMatrix(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        p = self.field.p
+        return FieldMatrix(self.field, _Rows(self.field, [
+            tuple((a + b) % p for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)]))
 
     def __sub__(self, other):
         self._check(other)
-        return FieldMatrix(
-            self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        p = self.field.p
+        return FieldMatrix(self.field, _Rows(self.field, [
+            tuple((a - b) % p for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)]))
 
     def scale(self, c) -> "FieldMatrix":
-        c = self.field.element(c)
-        return FieldMatrix(self.field, [[a * c for a in row] for row in self.rows])
+        return self._apply_entrywise(_mul_matrix(self.field, self.field.element(c).coeffs))
+
+    def _columns_packed(self, w):
+        """The packed x^b multiples of the columns, x^b col_j at index j k + b."""
+        cols = self._packed.get(w)
+        if cols is None:
+            cols = []
+            for c in self.transpose()._rows:
+                cols.append(_pack(c, w))
+                for _ in range(self.field.k - 1):
+                    cols.append(_times_x(cols[-1], self.nrows, self.field, w))
+            self._packed[w] = cols
+        return cols
+
+    def _product(self, v, w):
+        """M v packed with w-byte slots, for v a flat residue vector."""
+        return sum(map(mul, v, self._columns_packed(w)))
+
+    def _reduced_product(self, v):
+        F = self.field
+        w = _slot_bytes(self.ncols * F.k * (F.p - 1) ** 2)
+        return [c % F.p for c in _unpack(self._product(v, w), self.nrows * F.k, w)]
 
     def __matmul__(self, other):
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        return FieldMatrix.from_columns(self.field, [self.mat_vec(col) for col in other.columns()])
+        cols = [tuple(self._reduced_product(c)) for c in other.transpose()._rows]
+        return FieldMatrix(self.field, _Rows(self.field, cols)).transpose()
 
     def mat_vec(self, v):
-        if len(v) != self.ncols:
+        v = _residues(self.field, v)
+        if len(v) != self.ncols * self.field.k:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = self.field.zero()
-            for a, b in zip(row, v):
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return _elements(self.field, self._reduced_product(v))
 
     def power(self, e: int) -> "FieldMatrix":
         if self.nrows != self.ncols:
@@ -137,17 +319,22 @@ class FieldMatrix:
         return _binary_power(self, e, FieldMatrix.__matmul__, FieldMatrix.identity(self.field, self.nrows))
 
     def frobenius_entrywise(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [[frobenius(c) for c in row] for row in self.rows])
+        F = self.field
+        if F.k == 1:
+            return self
+        # a -> a^p is F_p-linear: column b of its matrix is frobenius(x^b)
+        return self._apply_entrywise(list(zip(*(frobenius(F.element([0] * b + [1])).coeffs for b in range(F.k)))))
 
     # -- elimination -----------------------------------------------------------
 
     def _echelon(self):
-        """Reduced row echelon form: (nonzero rows as lists, pivot columns)."""
-        acc = _EchelonAccumulator(self.field, self.ncols)
-        for row in self.rows:
-            acc.insert(row)
+        """Reduced row echelon form: (nonzero rows as residue tuples, pivot columns)."""
+        acc = _EchelonAccumulator(self.field, self.ncols, self.field.p - 1)
+        for row in self._rows:
+            acc.insert(_pack(row, acc.w))
         order = sorted(range(len(acc)), key=acc.pivots.__getitem__)
-        return [acc.rows[i] for i in order], [acc.pivots[i] for i in order]
+        rows = acc.basis()
+        return [rows[i] for i in order], [acc.pivots[i] for i in order]
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -155,71 +342,70 @@ class FieldMatrix:
     def nullspace(self):
         """Deterministic basis of the right kernel, as coordinate tuples."""
         rows, pivots = self._echelon()
+        p, k = self.field.p, self.field.k
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        zero, one = self.field.zero(), self.field.one()
-        for fc in free:
-            vec = [zero] * self.ncols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
+        for fc in range(self.ncols):
+            if fc in pivot_set:
+                continue
+            vec = [0] * (self.ncols * k)
+            vec[fc * k] = 1
+            for row, pc in zip(rows, pivots):
+                vec[pc * k:pc * k + k] = [-c % p for c in row[fc * k:fc * k + k]]
             basis.append(tuple(vec))
-        return basis
+        return _Rows(self.field, basis)
 
     def inverse(self) -> "FieldMatrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        identity = FieldMatrix.identity(self.field, n).rows
-        aug = FieldMatrix(self.field, [r + e for r, e in zip(self.rows, identity)])
-        rows, pivots = aug._echelon()
+        n, F = self.nrows, self.field
+        eye = FieldMatrix.identity(F, n)._rows
+        rows, pivots = FieldMatrix(F, _Rows(F, [r + e for r, e in zip(self._rows, eye)]))._echelon()
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return FieldMatrix(self.field, [row[n:] for row in rows])
+        return FieldMatrix(F, _Rows(F, [row[n * F.k:] for row in rows]))
 
     def charpoly(self) -> Polynomial:
-        """Characteristic polynomial det(xI - A) via Hessenberg reduction."""
+        """Characteristic polynomial det(xI - A) by Krylov blocks.
+
+        Each unit vector e_s outside the span so far starts a block
+        v = e_s, A v, A^2 v, ..., each vector reduced against the span.  A
+        vector carries a record in n + 1 extra entries: the polynomial P
+        with vector = P(A) v modulo the earlier blocks, which the
+        accumulator's row operations keep up to date.  The first vector of
+        a block that reduces to zero records the minimal polynomial of v
+        modulo the earlier blocks: the char poly of A on the block's
+        quotient.  The char poly is the product over the blocks.  Records
+        are cleared when a block closes, since the span is then invariant.
+        """
         if self.nrows != self.ncols:
             raise ValueError("char poly of a non-square matrix")
-        n = self.nrows
-        field = self.field
-        if n == 0:
-            return Polynomial.one(field)
-        h = [list(r) for r in self.rows]
-        zero = field.zero()
-        for c in range(n - 2):
-            pivot = None
-            for r in range(c + 1, n):
-                if not h[r][c].is_zero():
-                    pivot = r
+        F, n = self.field, self.nrows
+        p, k = F.p, F.k
+        acc = _EchelonAccumulator(F, n, n * k * (p - 1) ** 2, length=2 * n + 1)
+        cols = self._columns_packed(acc.w)
+        entry = 8 * acc.w * k
+        coords = (1 << entry * n) - 1
+        chi = [1] + [0] * (k - 1)
+        for s in range(n):
+            if len(acc) == n:
+                break
+            x = 1 << entry * s | 1 << entry * n
+            while True:
+                vals = acc.residual(x)
+                row = acc.add(vals)
+                if row is None:
                     break
-            if pivot is None:
-                continue
-            if pivot != c + 1:
-                h[c + 1], h[pivot] = h[pivot], h[c + 1]
-                for r in range(n):
-                    h[r][c + 1], h[r][pivot] = h[r][pivot], h[r][c + 1]
-            inv = h[c + 1][c].inverse()
-            for r in range(c + 2, n):
-                if not h[r][c].is_zero():
-                    t = h[r][c] * inv
-                    h[r] = [a - t * b for a, b in zip(h[r], h[c + 1])]
-                    for rr in range(n):
-                        h[rr][c + 1] = h[rr][c + 1] + t * h[rr][r]
-        # charpoly of the Hessenberg form by the leading-minor recurrence
-        polys = [Polynomial.one(field)]
-        for m in range(1, n + 1):
-            diag = Polynomial(field, [-h[m - 1][m - 1], field.one()])
-            acc = diag * polys[m - 1]
-            prod = field.one()
-            for i in range(m - 1, 0, -1):
-                prod = prod * h[i][i - 1]
-                if prod.is_zero():
-                    break
-                acc = acc - polys[i - 1].scale(prod * h[i - 1][m - 1])
-            polys.append(acc)
-        return polys[n]
+                # map stops at the n k coordinates of the row; the record moves up one degree
+                x = sum(map(mul, row, cols)) + (_pack(row[n * k:2 * n * k], acc.w) << entry * (n + 1))
+            record = vals[n * k:]
+            while record and not any(record[-k:]):
+                del record[-k:]
+            if len(record) > k:
+                lead = FieldElement(F, tuple(record[-k:])).inverse().coeffs
+                chi = _poly_mul(_apply(record, _mul_matrix(F, lead), p, k), chi, F)
+            acc.flat = [X & coords for X in acc.flat]
+        return Polynomial(F, _elements(F, chi))
 
 
 def span_basis(field: FieldDescriptor, vectors):
@@ -230,7 +416,7 @@ def span_basis(field: FieldDescriptor, vectors):
     if not vectors:
         return [], []
     rows, pivots = FieldMatrix(field, vectors)._echelon()
-    return [tuple(r) for r in rows], pivots
+    return [_elements(field, r) for r in rows], pivots
 
 
 class _EchelonAccumulator:
@@ -239,79 +425,125 @@ class _EchelonAccumulator:
 
     Rows are kept in insertion order; each row is zero in every other
     row's pivot column, and its first nonzero entry is a 1 at its pivot.
+    Pivots lie among the first `dim` entries; the other `length - dim`
+    entries of a vector ride along (the records of `charpoly`).  Row i is
+    kept as its k packed x^b multiples flat[i k + b], with w-byte slots for
+    inputs whose slots are at most s0 (see the module docstring).  Since
+    every row is zero in the other pivot columns, a vector's multipliers
+    are its own pivot entries, and one C-level sum reduces it.
     """
 
-    def __init__(self, field, dim):
+    def __init__(self, field, dim, s0, length=None):
+        p1, k = field.p - 1, field.k
         self.field = field
         self.dim = dim
-        self.rows = []       # reduced rows
+        self.length = dim if length is None else length
+        self.w = _slot_bytes(s0 + dim * k * p1 * (p1 + dim * k * p1 * p1))
+        self.flat = []       # packed x^b multiples of the rows
         self.pivots = []     # pivot column per row
-
-    def reduce(self, vec):
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if not v[pc].is_zero():
-                factor = v[pc]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vec):
-        """Reduce and insert; returns True when the vector was new."""
-        v = self.reduce(vec)
-        pivot = None
-        for c in range(self.dim):
-            if not v[c].is_zero():
-                pivot = c
-                break
-        if pivot is None:
-            return False
-        inv = v[pivot].inverse()
-        v = [a * inv for a in v]
-        # keep earlier rows reduced against the new one
-        for i in range(len(self.rows)):
-            if not self.rows[i][pivot].is_zero():
-                f = self.rows[i][pivot]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], v)]
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        return True
+        self._index = []     # positions of the pivot residues, k per row
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    def residual(self, x):
+        """Residues of the packed vector x reduced against the basis."""
+        p, count, w = self.field.p, self.length * self.field.k, self.w
+        if self.pivots:
+            vals = _unpack(x, count, w)
+            x = sum(map(mul, [-vals[i] % p for i in self._index], self.flat), x)
+        return [c % p for c in _unpack(x, count, w)]
+
+    def add(self, vals):
+        """Insert reduced residues that are nonzero below dim, normalised;
+        returns the new row's residues, or None for a dependent vector."""
+        F, w = self.field, self.w
+        p, k = F.p, F.k
+        nz = next((i for i in range(self.dim * k) if vals[i]), None)
+        if nz is None:
+            return None
+        pc = nz // k
+        count = self.length
+        lead = FieldElement(F, tuple(vals[pc * k:pc * k + k])).inverse().coeffs
+        # the normalised row lead vals = sum_b lead_b x^b vals, and its
+        # multiples V[t] = x^t row for t <= 2k - 2
+        V = [_pack(vals, w)]
+        for _ in range(k - 1):
+            V.append(_times_x(V[-1], count, F, w))
+        row = [c % p for c in _unpack(sum(map(mul, lead, V)), count * k, w)]
+        V = [_pack(row, w)]
+        for _ in range(2 * k - 2):
+            V.append(_times_x(V[-1], count, F, w))
+        # keep earlier rows reduced against the new one: x^b row_i gains
+        # (-c) x^b row = sum_b' (-c)_b' V[b + b'], c = row_i[pc]
+        shift, mask = 8 * w * k * pc, (1 << 8 * w) - 1
+        flat = self.flat
+        for i in range(0, len(flat), k):
+            top = flat[i] >> shift
+            neg = [-(top >> 8 * w * b & mask) % p for b in range(k)]
+            if any(neg):
+                for b in range(k):
+                    flat[i + b] += sum(map(mul, neg, V[b:b + k]))
+        flat.extend(V[:k])
+        self.pivots.append(pc)
+        self._index.extend(range(pc * k, pc * k + k))
+        return row
+
+    def insert(self, x):
+        """Reduce the packed vector x and insert it when it is new; returns
+        the new row's residues, or None."""
+        return self.add(self.residual(x))
+
+    def basis(self):
+        """The rows as flat residue tuples, in insertion order."""
+        p, k, w = self.field.p, self.field.k, self.w
+        return [tuple(c % p for c in _unpack(X, self.length * k, w)) for X in self.flat[::k]]
+
+
+def _square(field, n, mats):
+    for m in mats:
+        if m.field != field:
+            raise FieldMismatchError("matrices over different fields")
+        if (m.nrows, m.ncols) != (n, n):
+            raise ValueError("vector length mismatch")
 
 
 def spin(field: FieldDescriptor, seeds, mats):
     """Closure of the span of `seeds` under the matrices `mats`.
 
     Returns the echelon basis rows of the invariant subspace generated by
-    the seed vectors.
+    the seed vectors, one row per basis vector.
     """
+    seeds = _residue_rows(field, seeds)
     if not seeds:
-        return []
-    from collections import deque
-
-    dim = len(seeds[0])
-    acc = _EchelonAccumulator(field, dim)
+        return _Rows(field, [])
+    n = len(seeds[0]) // field.k
+    _square(field, n, mats)
+    acc = _EchelonAccumulator(field, n, n * field.k * (field.p - 1) ** 2)
+    cols = [m._columns_packed(acc.w) for m in mats]
     queue = deque()
     for s in seeds:
-        if acc.insert(s):
-            queue.append(acc.rows[-1])
+        row = acc.insert(_pack(s, acc.w))
+        if row is not None:
+            queue.append(row)
     while queue:
         v = queue.popleft()
-        for m in mats:
-            w = m.mat_vec(tuple(v))
-            if acc.insert(w):
-                queue.append(acc.rows[-1])
-    return [tuple(r) for r in acc.rows]
+        for c in cols:
+            row = acc.insert(sum(map(mul, v, c)))
+            if row is not None:
+                queue.append(row)
+    return _Rows(field, acc.basis())
 
 
 def is_invariant_subspace(basis_rows, mats) -> bool:
     """True when every image M w reduces to zero against span(W)."""
     if not basis_rows or not mats:
         return True
-    acc = _EchelonAccumulator(mats[0].field, len(basis_rows[0]))
-    for w in basis_rows:
-        acc.insert(w)
-    return all(
-        all(c.is_zero() for c in acc.reduce(m.mat_vec(w))) for m in mats for w in basis_rows
-    )
+    F = mats[0].field
+    rows = _residue_rows(F, basis_rows)
+    n = len(rows[0]) // F.k
+    _square(F, n, mats)
+    acc = _EchelonAccumulator(F, n, n * F.k * (F.p - 1) ** 2)
+    for r in rows:
+        acc.insert(_pack(r, acc.w))
+    return all(not any(acc.residual(m._product(r, acc.w))) for m in mats for r in rows)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -240,6 +241,15 @@ def test_roots_with_multiplicity_from_known_factors():
         chi = chi * (x * x - Polynomial(K, [nonsquare]))
         want = sorted(zip(mults, roots), key=lambda t: (t[0], t[1].coeffs))
         assert _roots_with_multiplicity(chi) == want
+
+
+def test_hermitian_meataxe_at_p_17_takes_seconds():
+    # dim 136 over F_289; the FieldElement kernel took 27.8 s of CPU here
+    start = time.process_time()
+    v = decide_irreducibility(canonical_module(17, 18))
+    elapsed = time.process_time() - start
+    assert (v.verdict, v.endo_dim, v.witness) == ("absolutely-irreducible", 1, None)
+    assert elapsed < 5, f"the p = 17 Hermitian MeatAxe took {elapsed:.1f} s of CPU"
 
 
 def test_verdicts_are_deterministic_for_fixed_seed():

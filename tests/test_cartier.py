@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
+from superell import cartier
 from superell.cartier import (
+    HASSE_WITT_WORK_LIMIT,
     HasseWittMatrix,
     InseparableModelError,
     PRankClass,
@@ -200,6 +202,23 @@ def test_genus_20_at_p_1009():
     trace = sum(H.entry(i, i).lift() for i in range(1, 21))
     assert (count_points(X, 1).count - 1 + trace) % p == 0  # Manin: #X(F_p) = 1 - tr A mod p
     assert elapsed < 10, f"Hasse-Witt and p-rank took {elapsed:.1f} s of CPU"
+
+
+def test_work_budget_admits_p_10007_and_refuses_the_silent_cases(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    # y^2 = x^41 + x + 1 at p = 10007: 205k coefficients of f^5003, admitted
+    # (and stopped at its first product, which takes seconds)
+    monkeypatch.setattr(cartier, "_binary_power", admitted)
+    with pytest.raises(Admitted):
+        hasse_witt(hyper([1, 1] + [0] * 39 + [1], 10007))
+    for coeffs, p in (([0, -1, 0, 0, 0, 1], 1000003), ([0, 1] + [0] * 19999 + [1], 7)):
+        with pytest.raises(ValueError, match=f"exceeds the budget {HASSE_WITT_WORK_LIMIT}"):
+            hasse_witt(hyper(coeffs, p))
 
 
 # -- cross-checks ------------------------------------------------------------

@@ -79,6 +79,18 @@ def test_classify_large_prime_modulus_exits_1_at_once(capsys):
     assert code == 1 and "cannot certify" in err
 
 
+@pytest.mark.parametrize("curve", [
+    "y^2 = x^5 - x mod 1000003",     # f^500001 has 2.5M coefficients
+    "y^2 = x^20001 + x mod 7",       # genus 10000: a 10^8-entry window
+])
+def test_classify_refuses_hasse_witt_over_budget_at_once(capsys, curve):
+    start = time.process_time()
+    code, out, err = run(capsys, ["classify", curve, "--e", "1"])
+    assert (code, out) == (1, "")
+    assert "exceeds the budget" in err
+    assert time.process_time() - start < 2
+
+
 @pytest.mark.parametrize("curve, e", [
     ("y^2 = x^7 + 3*x + 1 mod 31", "1,2"),
     ("y^2 = x^5 - x mod 5", "1"),  # superspecial: the F_25 count made for the verdict

@@ -44,6 +44,11 @@ CORPUS = [
      "3b61247bc3eeb31cd35978ffe6e273bf9448ee47900284790d41120fab2a7762"),
     (["rep", "--p", "2", "--m", "3"], 0,
      "54b47f9de3c2b9f0b228363c7d8408488596d8c689f78bcb5a68ed0bfbd6fcf5"),
+    (["rep", "--p", "11", "--m", "12"], 0,
+     "a916c1eeec733945d3ae40dc1575b3a1ac386d350e4f46da0c8afd14ba08bb8c"),
+    # reducible, dim 121, with a witness
+    (["rep", "--p", "23", "--m", "12"], 0,
+     "546de889eb9d80c972c2895ee9abac9f329cd62ee3e4d9d34af6eff95a8c3847"),
     (["bounds", "--kind", "aut-ordinary", "--g", "100"], 0,
      "d6850c19996006bd8fe71c647261ac4f85deeee3254d3375ec7ccab4e63a81ed"),
     (["bounds", "--kind", "case-IV-final", "--p", "3", "--n", "1"], 0,

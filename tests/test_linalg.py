@@ -3,7 +3,8 @@ import random
 import pytest
 
 from superell.ff import make_field
-from superell.linalg import FieldMatrix, is_invariant_subspace, span_basis, spin
+from superell.linalg import FieldMatrix, _EchelonAccumulator, _slot_bytes, is_invariant_subspace, span_basis, spin
+from superell.poly import Polynomial
 
 
 def random_matrix(rng, field, n, m=None):
@@ -46,8 +47,6 @@ def test_singular_inverse_raises():
 
 def brute_charpoly(M):
     """det(xI - A) by cofactor expansion over the polynomial ring."""
-    from superell.poly import Polynomial
-
     field = M.field
     n = M.nrows
     entries = [
@@ -72,14 +71,29 @@ def brute_charpoly(M):
     return det(list(range(n)), list(range(n)))
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def element_drawer(field, rng):
+    """Uniform random elements: drawn from `elements()` for small fields, as
+    random residues where listing the field would take too long."""
+    if field.order <= 1000:
+        elems = list(field.elements())
+        return lambda: rng.choice(elems)
+    return lambda: field.element([rng.randrange(field.p) for _ in range(field.k)])
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (2, 1), (3, 1), (1000003, 1), (3, 3), (5, 3), (2**61 - 1, 1)])
 def test_charpoly_matches_cofactor_expansion(p, k):
     K = make_field(p, k)
-    elems = list(K.elements())
     rng = random.Random(p + k)
+    draw = element_drawer(K, rng)
     for _ in range(15):
         n = rng.randrange(1, 5)
-        M = FieldMatrix(K, [[elems[rng.randrange(len(elems))] for _ in range(n)] for _ in range(n)])
+        M = FieldMatrix(K, [[draw() for _ in range(n)] for _ in range(n)])
+        assert M.charpoly() == brute_charpoly(M)
+    # scalar, diagonal and block matrices: one Krylov block per eigenvector
+    d = [draw() for _ in range(4)]
+    for M in (FieldMatrix.identity(K, 4).scale(d[0]),
+              FieldMatrix(K, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]),
+              FieldMatrix(K, [[d[0], 1, 0, 0], [0, d[0], 0, 0], [0, 0, d[1], d[2]], [0, 0, 0, d[3]]])):
         assert M.charpoly() == brute_charpoly(M)
 
 
@@ -172,10 +186,10 @@ def reference_product(A, B):
 
 def seeded_matrices(field, rng):
     """Zero, rank-deficient, full-rank, wide and tall matrices over field."""
-    elems = list(field.elements())
+    draw = element_drawer(field, rng)
 
     def rand(n, m):
-        return FieldMatrix(field, [[rng.choice(elems) for _ in range(m)] for _ in range(n)])
+        return FieldMatrix(field, [[draw() for _ in range(m)] for _ in range(n)])
 
     out = [FieldMatrix.zeros(field, 3, 4), FieldMatrix.zeros(field, 2, 2)]
     for _ in range(4):
@@ -186,10 +200,16 @@ def seeded_matrices(field, rng):
         out.append(rand(n, n))                        # full rank for most draws
         out.append(rand(2, rng.randrange(3, 7)))      # wide
         out.append(rand(rng.randrange(3, 7), 2))      # tall
+    for n in (2, 5):                                  # invertible
+        lower = FieldMatrix(field, [[draw() if j < i else int(i == j) for j in range(n)] for i in range(n)])
+        upper = FieldMatrix(field, [[draw() if j > i else int(i == j) for j in range(n)] for i in range(n)])
+        out.append(lower @ upper)
     return out
 
 
-FIELDS = [(5, 1), (7, 1), (3, 2), (5, 2)]
+# F_2, F_3 and F_1000003 at k = 1; F_27 and F_125 run the x^b fold past
+# k = 2; 2^61 - 1 needs slots wider than 8 bytes
+FIELDS = [(5, 1), (7, 1), (3, 2), (5, 2), (2, 1), (3, 1), (1000003, 1), (3, 3), (5, 3), (2**61 - 1, 1)]
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -232,11 +252,11 @@ def test_span_basis_ignores_insertion_order(p, k):
 def test_matmul_matches_entrywise_sums(p, k):
     K = make_field(p, k)
     rng = random.Random(7 * p + k)
-    elems = list(K.elements())
+    draw = element_drawer(K, rng)
     for _ in range(6):
         n, m, l = (rng.randrange(1, 5) for _ in range(3))
-        A = FieldMatrix(K, [[rng.choice(elems) for _ in range(m)] for _ in range(n)])
-        B = FieldMatrix(K, [[rng.choice(elems) for _ in range(l)] for _ in range(m)])
+        A = FieldMatrix(K, [[draw() for _ in range(m)] for _ in range(n)])
+        B = FieldMatrix(K, [[draw() for _ in range(l)] for _ in range(m)])
         assert (A @ B).rows == FieldMatrix(K, reference_product(A, B)).rows
 
 
@@ -274,17 +294,17 @@ def test_invariance_matches_rank_test(p, k):
     subspaces (mostly not invariant) and on spun ones (always invariant)."""
     K = make_field(p, k)
     rng = random.Random(31 * p + k)
-    elems = list(K.elements())
+    draw = element_drawer(K, rng)
     seen = set()
     for _ in range(12):
         n = rng.randrange(2, 6)
         mats = [
-            FieldMatrix(K, [[rng.choice(elems) if rng.random() < 0.4 else K.zero()
+            FieldMatrix(K, [[draw() if rng.random() < 0.4 else K.zero()
                              for _ in range(n)] for _ in range(n)])
             for _ in range(rng.randrange(1, 4))
         ]
-        seed = tuple(rng.choice(elems) for _ in range(n))
-        candidates = [[tuple(rng.choice(elems) for _ in range(n)) for _ in range(rng.randrange(1, n))]]
+        seed = tuple(draw() for _ in range(n))
+        candidates = [[tuple(draw() for _ in range(n)) for _ in range(rng.randrange(1, n))]]
         if any(not c.is_zero() for c in seed):
             candidates.append(spin(K, [seed], mats))
         for W in candidates:
@@ -296,3 +316,102 @@ def test_invariance_matches_rank_test(p, k):
             assert is_invariant_subspace(W, mats) == expected
             seen.add(expected)
     assert seen == {True, False}
+
+
+def reference_closure(field, seeds, mats, n):
+    """Reduced echelon basis of the smallest subspace containing the seeds
+    and invariant under mats, by Gauss-Jordan on entrywise products."""
+    zero = field.zero()
+    rows = reference_rref(field, seeds, n)[0]
+    while True:
+        images = [tuple(sum((m[i, j] * r[j] for j in range(n)), zero) for i in range(n)) for m in mats for r in rows]
+        grown = reference_rref(field, list(rows) + images, n)[0]
+        if len(grown) == len(rows):
+            return grown
+        rows = grown
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_spin_matches_reference_closure(p, k):
+    K = make_field(p, k)
+    rng = random.Random(11 * p + k)
+    draw = element_drawer(K, rng)
+    proper = 0
+    for _ in range(8):
+        n = rng.randrange(2, 7)
+        # block upper triangular generators keep span(e_0..e_(b-1)); sparse ones often more
+        b = rng.randrange(1, n)
+        mats = [FieldMatrix(K, [[draw() if (i < b or j >= b) and rng.random() < 0.6 else 0
+                                 for j in range(n)] for i in range(n)])
+                for _ in range(rng.randrange(1, 4))]
+        seeds = [tuple(draw() if i < b else K.zero() for i in range(n))]
+        if rng.random() < 0.5:
+            seeds.append(tuple(draw() for _ in range(n)))
+        closure = reference_closure(K, seeds, mats, n)
+        rows = spin(K, seeds, mats)
+        first = lambda r: next(j for j, c in enumerate(r) if not c.is_zero())
+        assert sorted(rows, key=first) == closure
+        assert is_invariant_subspace(rows, mats)
+        proper += len(rows) < n
+    assert proper > 0
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_matrices_from_ints_and_elements_are_equal(p, k):
+    K = make_field(p, k)
+    rng = random.Random(p + 3 * k)
+    draw = element_drawer(K, rng)
+    ints = [[rng.randrange(-p, 2 * p) for _ in range(3)] for _ in range(2)]
+    A = FieldMatrix(K, ints)
+    B = FieldMatrix(K, [[K.element(c) for c in row] for row in ints])
+    C = FieldMatrix(K, [[[c] + [0] * (k - 1) for c in row] for row in ints])
+    assert A == B == C and hash(A) == hash(B) == hash(C)
+    elems = [[draw() for _ in range(3)] for _ in range(3)]
+    D = FieldMatrix(K, elems)
+    E = FieldMatrix(K, [[list(c.coeffs) for c in row] for row in elems])
+    assert D == E and hash(D) == hash(E)
+    assert D == FieldMatrix(K, D.rows) == FieldMatrix.from_columns(K, D.columns())
+    assert D.transpose().transpose() == D and D.rows == tuple(map(tuple, elems))
+    assert [D[i, j] for i in range(3) for j in range(3)] == [c for row in elems for c in row]
+    assert D[1, -1] == elems[1][-1]
+    assert D != FieldMatrix(K, elems[:2])
+    empty = FieldMatrix.zeros(K, 2, 0)
+    assert empty.scale(draw()) == empty.frobenius_entrywise() == empty and empty.transpose().nrows == 0
+
+
+def boundary(width):
+    """(n, n + 1) for the largest n whose slot width is width(1)."""
+    n = 1
+    while width(n + 1) == width(1):
+        n += 1
+    return n, n + 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (17, 1), (3, 3)])
+def test_all_p_minus_1_products_at_the_slot_width_boundary(p, k):
+    # at k = 1 every slot of the product reaches the bound n (p-1)^2
+    K = make_field(p, k)
+    top = K.element([p - 1] * k)
+    for n in boundary(lambda n: _slot_bytes(n * k * (p - 1) ** 2)):
+        A = FieldMatrix(K, [[top] * n] * n)
+        want = sum((top * top for _ in range(n)), K.zero())
+        assert A.mat_vec((top,) * n) == (want,) * n
+        assert A @ A == FieldMatrix(K, [[want] * n] * n)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (3, 3), (5, 2)])
+def test_all_p_minus_1_elimination_at_the_slot_width_boundary(p, k):
+    K = make_field(p, k)
+    top = K.element([p - 1] * k)
+    for n in boundary(lambda n: _EchelonAccumulator(K, n, p - 1).w):
+        ones = FieldMatrix(K, [[top] * n] * n)
+        assert ones.rank() == 1
+        assert ones.nullspace() == reference_nullspace(K, ones.rows, n)
+        U = FieldMatrix(K, [[top if j >= i else 0 for j in range(n)] for i in range(n)])
+        assert span_basis(K, list(U.rows)) == reference_rref(K, U.rows, n)
+        assert U @ U.inverse() == FieldMatrix.identity(K, n)
+        assert U.charpoly() == Polynomial(K, [-top, 1]) ** n
+        trace = sum((top for _ in range(n)), K.zero())
+        assert ones.charpoly() == Polynomial.monomial(K, 1, n - 1) * Polynomial(K, [-trace, 1])
+        e0 = [(K.one() if i == 0 else K.zero()) for i in range(n)]
+        assert len(spin(K, [e0], [ones, U])) == n
