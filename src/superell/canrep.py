@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Optional
 
 from .curve import CurveAutomorphism, InvalidCurveError
-from .ff import FieldDescriptor, _mul_matrix, _power, _prime_divisors, is_prime, lift_to, make_field
-from .linalg import FieldMatrix, is_invariant_subspace, spin
-from .poly import Polynomial, roots_in_field
+from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _polymul, _power, _prime_divisors, _times,
+                 is_prime, lift_to, make_field)
+from .linalg import FieldMatrix, _Rows, is_invariant_subspace, spin
+from .poly import roots_in_field
 
 
 class MeatAxeInconclusive(RuntimeError):
@@ -76,19 +78,26 @@ class RepresentationModule:
 
 
 def zeta_of_order(K: FieldDescriptor, m: int):
-    """Deterministic element of exact multiplicative order m in K."""
-    if (K.order - 1) % m != 0:
+    """Deterministic element of exact multiplicative order m in K: the
+    first in `elements()` order.
+
+    K^x is cyclic of order q-1, so z -> z^((q-1)/m) maps onto the m-th roots
+    of unity; the first nonzero z whose image h has exact order m gives
+    them all as powers of h, and those of exact order m are h^t with t
+    prime to m.  The first of them is the least residue tuple.
+    """
+    Q = K.order - 1
+    if Q % m != 0:
         raise ValueError(f"K has no element of order {m}")
-    if m == 1:
-        return K.one()
-    prime_divs = list(_prime_divisors(m))
-    one = K.one().coeffs
-    for z in K.elements():
-        if z.is_zero():
-            continue
-        if _power(K, z.coeffs, m) == one and all(_power(K, z.coeffs, m // r) != one for r in prime_divs):
-            return z
-    raise AssertionError("unreachable: cyclic group has elements of each order")
+    one, primes = K.one().coeffs, list(_prime_divisors(m))
+    h = next(h for h in (_power(K, z.coeffs, Q // m) for z in K.elements() if not z.is_zero())
+             if all(_power(K, h, m // r) != one for r in primes))
+    rows, power, first = _mul_matrix(K, h), h, h
+    for t in range(2, m):
+        power = tuple(_times(rows, power, K.p))
+        if gcd(t, m) == 1:
+            first = min(first, power)
+    return FieldElement(K, first)
 
 
 def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> FieldMatrix:
@@ -96,40 +105,59 @@ def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> 
 
     Columns are images of basis vectors; composing maps left-to-right
     (CurveAutomorphism.compose) corresponds to the matrix product in the
-    same order.
+    same order.  The matrix is built on int residues.  The zeta map is
+    diagonal, with entry z^(-j) on the x^i dx / y^j row.  A Moebius map has
+    its entries in F_p, so the column of x^i dx / y^j is the F_p polynomial
+    (a x + b)^i (c x + d)^(m' j - 2 - i), a product of two int powers taken
+    once per exponent, written into residue slot 0 of its entries.
     """
     if K is None:
         K = make_field(B.p, 2)
-    dim = B.dim
-    idx = {ji: r for r, ji in enumerate(B.entries)}
-    zero = K.zero()
-    cols = []
+    p, k, dim = K.p, K.k, B.dim
     if sigma.kind == "zeta":
         z = sigma.zeta if sigma.zeta.field == K else lift_to(sigma.zeta, K)
-        if z**B.m != K.one():
+        one = K.one().coeffs
+        if _power(K, z.coeffs, B.m) != one:
             raise InvalidCurveError("zeta is not an m-th root of unity")
-        for (j, i) in B.entries:
-            col = [zero] * dim
-            col[idx[(j, i)]] = (z**j).inverse()
-            cols.append(col)
-        return FieldMatrix.from_columns(K, cols)
+        rows = _mul_matrix(K, _inverse(K, z.coeffs))
+        diagonal = [one]
+        for _ in range(1, B.m):
+            diagonal.append(tuple(_times(rows, diagonal[-1], p)))
+        zeros = (0,) * k
+        return FieldMatrix(K, _Rows(K, [
+            zeros * r + diagonal[j] + zeros * (dim - r - 1) for r, (j, _) in enumerate(B.entries)]))
     if sigma.kind != "mobius":
         raise InvalidCurveError(f"unknown automorphism kind {sigma.kind!r}")
-    a, b, c, d = (lift_to(t, K) for t in sigma.abcd)
-    ax_b = Polynomial(K, [b, a])
-    cx_d = Polynomial(K, [d, c])
-    for (j, i) in B.entries:
+    a, b, c, d = (_prime_field_int(t, p) for t in sigma.abcd)
+    ax_b, cx_d = [[1]], [[1]]
+    for _ in range(B.m_prime * (B.m - 1) - 2):
+        ax_b.append(_polymul(ax_b[-1], [b, a], p))
+        cx_d.append(_polymul(cx_d[-1], [d, c], p))
+    flat = [0] * (dim * dim * k)
+    start = {}
+    for col, (j, i) in enumerate(B.entries):
+        start.setdefault(j, col)
         top = B.m_prime * j - 2
-        pol = (ax_b**i) * (cx_d ** (top - i))
-        if pol.degree > top:
+        pol = _polymul(ax_b[i], cx_d[top - i], p)
+        if len(pol) - 1 > top:
             raise AssertionError("pullback left the basis monomial range")
-        col = [zero] * dim
-        for ip in range(pol.degree + 1):
-            coeff = pol.coeff(ip)
-            if not coeff.is_zero():
-                col[idx[(j, ip)]] = coeff
-        cols.append(col)
-    return FieldMatrix.from_columns(K, cols)
+        for ip, coeff in enumerate(pol):
+            flat[((start[j] + ip) * dim + col) * k] = coeff
+    return _square_matrix(K, flat, dim)
+
+
+def _prime_field_int(t, p: int) -> int:
+    """The int residue of a Moebius entry, which must lie in F_p."""
+    if t.field.p != p or any(t.coeffs[1:]):
+        raise InvalidCurveError("Moebius entries must lie in the prime field")
+    return t.coeffs[0]
+
+
+def _square_matrix(K, flat, dim):
+    """The dim x dim matrix whose entry (r, c) has the k residues at
+    flat[(r dim + c) k:]."""
+    n = dim * K.k
+    return FieldMatrix(K, _Rows(K, [tuple(flat[r:r + n]) for r in range(0, dim * n, n)]))
 
 
 def sl2_generators(p: int):
@@ -176,45 +204,40 @@ def _monomials(degree: int):
 def _substitution_matrix(K, monos, lin_forms):
     """Matrix of x0^a x1^b x2^c -> l0^a l1^b l2^c on the monomial basis.
 
-    lin_forms[i] is the coefficient triple of the linear form replacing
-    x_i.  Trivariate products are expanded in dictionaries keyed by
-    exponent triples.
+    lin_forms[i] is the residue triple of the linear form replacing x_i.
+    Trivariate products are expanded on residues, in dictionaries from
+    exponent triples to residue tuples.
     """
+    p, k = K.p, K.k
     idx = {mono: r for r, mono in enumerate(monos)}
-    zero = K.zero()
 
-    def mul(f, g):
+    def product(f, g):
         out = {}
-        for (e1, c1) in f.items():
-            for (e2, c2) in g.items():
+        for e1, c1 in f.items():
+            rows = _mul_matrix(K, c1)
+            for e2, c2 in g.items():
                 key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                c = _times(rows, c2, p)
                 prev = out.get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                out[key] = c if prev is None else [(s + t) % p for s, t in zip(prev, c)]
+        return {e: c for e, c in out.items() if any(c)}
 
-    lin_polys = []
-    for coeffs in lin_forms:
-        poly = {}
-        for var, c in enumerate(coeffs):
-            if not c.is_zero():
-                key = tuple(1 if t == var else 0 for t in range(3))
-                poly[key] = c
-        lin_polys.append(poly)
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     degree = sum(monos[0])
     powers = []
-    for lp in lin_polys:
-        row = [{(0, 0, 0): K.one()}]
+    for coeffs in lin_forms:
+        form = {unit[var]: c for var, c in enumerate(coeffs) if any(c)}
+        row = [{(0, 0, 0): (1,) + (0,) * (k - 1)}]
         for _ in range(degree):
-            row.append(mul(row[-1], lp))
+            row.append(product(row[-1], form))
         powers.append(row)
-    cols = []
-    for (a, b, c) in monos:
-        prod = mul(mul(powers[0][a], powers[1][b]), powers[2][c])
-        col = [zero] * len(monos)
-        for key, val in prod.items():
-            col[idx[key]] = val
-        cols.append(col)
-    return FieldMatrix.from_columns(K, cols)
+    dim = len(monos)
+    flat = [0] * (dim * dim * k)
+    for col, (a, b, c) in enumerate(monos):
+        for key, val in product(product(powers[0][a], powers[1][b]), powers[2][c]).items():
+            start = (idx[key] * dim + col) * k
+            flat[start:start + k] = val
+    return _square_matrix(K, flat, dim)
 
 
 def hermitian_plane_module(p: int) -> RepresentationModule:
@@ -232,24 +255,23 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
         raise ValueError(f"{p} is not prime")
     K = make_field(p, 2)
     monos = _monomials(p - 2)
-    one, zero = K.one(), K.zero()
-    zeta = zeta_of_order(K, p + 1)
+    one, zero = K.one().coeffs, K.zero().coeffs
+    zeta = zeta_of_order(K, p + 1).coeffs
     gens3 = []
-    gens3.append((("scaling", ), [[zeta, zero, zero], [zero, one, zero], [zero, zero, one]]))
-    gens3.append((("rotation", ), [[zero, one, zero], [zero, zero, one], [one, zero, zero]]))
-    gens3.append((("swap", ), [[zero, one, zero], [one, zero, zero], [zero, zero, one]]))
+    gens3.append(("scaling", [[zeta, zero, zero], [zero, one, zero], [zero, zero, one]]))
+    gens3.append(("rotation", [[zero, one, zero], [zero, zero, one], [one, zero, zero]]))
+    gens3.append(("swap", [[zero, one, zero], [one, zero, zero], [zero, zero, one]]))
     pair = _unit_norm_pair(K, p)
     # p = 2 has no pair: u^3 + v^3 = 1 in F_4 forces u = 0 or v = 0, since
     # every nonzero cube is 1; the module is then one-dimensional and the
     # other generators suffice
     if pair is not None:
-        u, v = pair
-        gens3.append(
-            (("mixer", ), [[u, -(v**p), zero], [v, u**p, zero], [zero, zero, one]])
-        )
+        u, v = (t.coeffs for t in pair)
+        minus_vp = tuple(-c % p for c in _power(K, v, p))
+        gens3.append(("mixer", [[u, minus_vp, zero], [v, _power(K, u, p), zero], [zero, zero, one]]))
     mats = []
     labels = []
-    for (label, ), rows in gens3:
+    for label, rows in gens3:
         lin_forms = [tuple(rows[i][j] for j in range(3)) for i in range(3)]
         mats.append(_substitution_matrix(K, monos, lin_forms))
         labels.append(f"plane-model {label}")
@@ -263,15 +285,15 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
 def _unit_norm_pair(K, p: int):
     """Deterministic u, v in K with u^(p+1) + v^(p+1) = 1, both nonzero;
     None when no such pair exists."""
-    one = K.one()
+    one = K.one().coeffs
     for u in K.elements():
         if u.is_zero():
             continue
-        target = one - u ** (p + 1)
-        if target.is_zero():
+        target = tuple((a - b) % p for a, b in zip(one, _power(K, u.coeffs, p + 1)))
+        if not any(target):
             continue
         for v in K.elements():
-            if not v.is_zero() and v ** (p + 1) == target:
+            if not v.is_zero() and _power(K, v.coeffs, p + 1) == target:
                 return u, v
     return None
 

@@ -8,8 +8,9 @@ on int residues and the last product h*h (or h*(h*f) for odd e) is
 unpacked at the g^2 slots x^(p*i - j) alone.
 The p-rank is the rank of the g-fold semilinear product
 A * A^(p) * ... * A^(p^(g-1)), where ^(p) raises entries to the p-th
-power; an invertible A skips the product, since Frobenius twists and
-products of invertible matrices stay invertible.
+power; over F_p it is A^g, taken by binary powering.  An invertible A
+skips the product, since Frobenius twists and products of invertible
+matrices stay invertible.
 """
 
 from __future__ import annotations
@@ -80,7 +81,13 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
 
 
 def semilinear_stable_matrix(M: FieldMatrix, g: int) -> FieldMatrix:
-    """A * A^(p) * ... * A^(p^(g-1)) with entrywise Frobenius twists."""
+    """A * A^(p) * ... * A^(p^(g-1)) with entrywise Frobenius twists.
+
+    Over F_p every twist is A itself, so the product is A^g by binary
+    powering, O(log g) products instead of g - 1.
+    """
+    if M.field.k == 1:
+        return M.power(g)
     prod = M
     twisted = M
     for _ in range(1, g):

@@ -383,25 +383,7 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by extended Euclid on coefficient polys."""
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero field element")
-        f = self.field
-        p = f.p
-        if f.k == 1:
-            return FieldElement(f, (pow(self.coeffs[0], -1, p),))
-        # extended Euclid: r0 = modulus, r1 = self
-        r0, r1 = list(f.modulus), _trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _polydivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1, p), p)
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], -1, p)
-        inv = [(c * c_inv) % p for c in s0]
-        inv = _polyrem(inv, list(f.modulus), p)
-        inv += [0] * (f.k - len(inv))
-        return FieldElement(f, tuple(inv))
+        return FieldElement(self.field, _inverse(self.field, self.coeffs))
 
     def __truediv__(self, other):
         self._check(other)
@@ -486,6 +468,26 @@ def _power(K, c, e):
     """The residues of c^e for c given by its residues, e >= 0."""
     one = (1,) + (0,) * (K.k - 1)
     return tuple(_binary_power(c, e, lambda a, b: _times(_mul_matrix(K, a), b, K.p), one))
+
+
+def _inverse(K, c):
+    """The residues of 1/c for c != 0 given by its residues: pow(c, -1, p)
+    over F_p, extended Euclid against the modulus for k >= 2."""
+    p = K.p
+    if not any(c):
+        raise ZeroDivisionError("inversion of zero field element")
+    if K.k == 1:
+        return (pow(c[0], -1, p),)
+    # r0 = s0 c and r1 = s1 c modulo the modulus throughout
+    r0, r1 = list(K.modulus), _trim(list(c))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _polydivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _polysub(s0, _polymul(q, s1, p), p)
+    # r0 is a nonzero constant gcd, and deg s0 < k
+    c_inv = pow(r0[0], -1, p)
+    return tuple([c * c_inv % p for c in s0] + [0] * (K.k - len(s0)))
 
 
 # ---------------------------------------------------------------------------

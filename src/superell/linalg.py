@@ -41,6 +41,14 @@ nullspace, inverse and `span_basis` insert a matrix's rows and sort the
 basis by pivot, which gives the reduced row echelon form; that form is
 unique, so the results do not depend on the order of insertion.  `spin`,
 `is_invariant_subspace` and `charpoly` grow and query the basis directly.
+
+`charpoly` first splits the matrix by the strongly connected components of
+its nonzero pattern (Tarjan 1972), which make it block triangular up to a
+permutation: a 1 x 1 block gives its linear factor at once, and only the
+larger blocks run the Krylov route on the accumulator.  The MeatAxe's
+diagonal, triangular and block-diagonal generators thus take one Krylov
+run per block, not one per eigenvector.  Inverses of leading entries are
+taken on residues (`ff._inverse`).
 """
 
 from __future__ import annotations
@@ -49,10 +57,10 @@ import sys
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, compress
 from operator import add, mul
 
-from .ff import FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _mul_matrix, frobenius
+from .ff import FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _inverse, _mul_matrix, frobenius
 from .poly import Polynomial
 
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"}
@@ -366,7 +374,49 @@ class FieldMatrix:
         return FieldMatrix(F, _Rows(F, [row[n * F.k:] for row in rows]))
 
     def charpoly(self) -> Polynomial:
-        """Characteristic polynomial det(xI - A) by Krylov blocks.
+        """Characteristic polynomial det(xI - A), split by strongly connected
+        components.
+
+        Read as a digraph with i -> j when A[i][j] != 0 (i != j), A has
+        strongly connected components C_1, ..., C_r (Tarjan 1972); listing
+        the vertices component by component, in the order the search closes
+        them, makes A block triangular up to that permutation.  So det(xI - A)
+        is the product of the diagonal blocks' char polys: x - a_ii for a
+        1 x 1 block, `_krylov_charpoly` of the submatrix for a larger one.
+        The char poly is unique, so the split changes no result, only the
+        work: diagonal and triangular matrices take one linear factor per
+        row, and block-diagonal ones one Krylov run per block.
+        """
+        if self.nrows != self.ncols:
+            raise ValueError("char poly of a non-square matrix")
+        F, n = self.field, self.nrows
+        p, k = F.p, F.k
+        rows = self._rows
+        chi = None
+        for comp in _strong_components(self._adjacency()):
+            if len(comp) == 1:
+                i = comp[0]
+                factor = [-c % p for c in rows[i][i * k:i * k + k]] + [1] + [0] * (k - 1)
+            elif len(comp) == n:
+                factor = self._krylov_charpoly()
+            else:
+                sub = [tuple(chain.from_iterable(rows[i][j * k:j * k + k] for j in comp)) for i in comp]
+                factor = FieldMatrix(F, _Rows(F, sub))._krylov_charpoly()
+            chi = factor if chi is None else _poly_mul(factor, chi, F)
+        return Polynomial(F, _elements(F, chi or [1] + [0] * (k - 1)))
+
+    def _adjacency(self):
+        """The columns j != i with A[i][j] != 0, for each row i."""
+        n, k = self.ncols, self.field.k
+        out = []
+        for i, row in enumerate(self._rows):
+            nonzero = row if k == 1 else map(any, zip(*(row[u::k] for u in range(k))))
+            out.append([j for j in compress(range(n), nonzero) if j != i])
+        return out
+
+    def _krylov_charpoly(self):
+        """det(xI - A) by Krylov blocks, as the flat residues of its
+        coefficients in ascending order.
 
         Each unit vector e_s outside the span so far starts a block
         v = e_s, A v, A^2 v, ..., each vector reduced against the span.  A
@@ -378,8 +428,6 @@ class FieldMatrix:
         quotient.  The char poly is the product over the blocks.  Records
         are cleared when a block closes, since the span is then invariant.
         """
-        if self.nrows != self.ncols:
-            raise ValueError("char poly of a non-square matrix")
         F, n = self.field, self.nrows
         p, k = F.p, F.k
         acc = _EchelonAccumulator(F, n, n * k * (p - 1) ** 2, length=2 * n + 1)
@@ -402,10 +450,50 @@ class FieldMatrix:
             while record and not any(record[-k:]):
                 del record[-k:]
             if len(record) > k:
-                lead = FieldElement(F, tuple(record[-k:])).inverse().coeffs
-                chi = _poly_mul(_apply(record, _mul_matrix(F, lead), p, k), chi, F)
+                chi = _poly_mul(_apply(record, _mul_matrix(F, _inverse(F, record[-k:])), p, k), chi, F)
             acc.flat = [X & coords for X in acc.flat]
-        return Polynomial(F, _elements(F, chi))
+        return chi
+
+
+def _strong_components(adj):
+    """The strongly connected components of the digraph i -> adj[i], by
+    Tarjan's search (1972) run with an explicit stack instead of recursion.
+    A component comes out after every component it reaches."""
+    n = len(adj)
+    index, low = [-1] * n, [0] * n
+    on_stack = [False] * n
+    stack, comps, counter = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(comp)
+    return comps
 
 
 def span_basis(field: FieldDescriptor, vectors):
@@ -464,7 +552,7 @@ class _EchelonAccumulator:
             return None
         pc = nz // k
         count = self.length
-        lead = FieldElement(F, tuple(vals[pc * k:pc * k + k])).inverse().coeffs
+        lead = _inverse(F, vals[pc * k:pc * k + k])
         # the normalised row lead vals = sum_b lead_b x^b vals, and its
         # multiples V[t] = x^t row for t <= 2k - 2
         V = [_pack(vals, w)]

@@ -12,13 +12,14 @@ from superell.canrep import (
     decide_irreducibility,
     divisor_table,
     explicit_invariant_subspace,
+    _monomials,
     generator_matrix,
     hermitian_plane_module,
     sl2_generators,
     zeta_of_order,
 )
-from superell.curve import CurveAutomorphism
-from superell.ff import make_field
+from superell.curve import CurveAutomorphism, InvalidCurveError
+from superell.ff import lift_to, make_field
 from superell.linalg import FieldMatrix, is_invariant_subspace
 from superell.poly import Polynomial, poly_pow
 
@@ -123,6 +124,88 @@ def test_homomorphism_property(p):
             left = generator_matrix(B, s.compose(t), K)
             right = generator_matrix(B, s, K) @ generator_matrix(B, t, K)
             assert left == right
+
+
+def first_element_of_order(K, m):
+    """The first z in `elements()` order with z^m = 1 and z^(m/r) != 1 for
+    every prime r | m."""
+    one = K.one()
+    primes = [r for r in range(2, m + 1) if m % r == 0 and all(r % s for s in range(2, r))]
+    return next(z for z in K.elements()
+                if not z.is_zero() and z**m == one and all(z ** (m // r) != one for r in primes))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (3, 3),
+                                 (17, 2), (19, 2), (23, 2)])
+def test_zeta_of_order_is_the_first_element_of_that_order(p, k):
+    K = make_field(p, k)
+    q = K.order
+    for m in (m for m in range(1, q) if (q - 1) % m == 0):
+        assert zeta_of_order(K, m) == first_element_of_order(K, m), m
+    with pytest.raises(ValueError):
+        zeta_of_order(K, q)
+
+
+def reference_generator_matrix(B, sigma, K):
+    """The pullback matrix by FieldElement polynomial products: z^(-j) on the
+    diagonal for the zeta map, and the coefficients of
+    (a x + b)^i (c x + d)^(m' j - 2 - i) in the column of x^i dx / y^j."""
+    idx = {ji: r for r, ji in enumerate(B.entries)}
+    cols = []
+    if sigma.kind == "zeta":
+        z = lift_to(sigma.zeta, K)
+        for j, i in B.entries:
+            col = [K.zero()] * B.dim
+            col[idx[(j, i)]] = (z**j).inverse()
+            cols.append(col)
+        return FieldMatrix.from_columns(K, cols)
+    a, b, c, d = (lift_to(t, K) for t in sigma.abcd)
+    ax_b, cx_d = [Polynomial.one(K)], [Polynomial.one(K)]
+    for _ in range(B.m_prime * (B.m - 1) - 2):
+        ax_b.append(ax_b[-1] * Polynomial(K, [b, a]))
+        cx_d.append(cx_d[-1] * Polynomial(K, [d, c]))
+    for j, i in B.entries:
+        top = B.m_prime * j - 2
+        pol = ax_b[i] * cx_d[top - i]
+        assert pol.degree <= top
+        col = [K.zero()] * B.dim
+        for ip in range(pol.degree + 1):
+            col[idx[(j, ip)]] = pol.coeff(ip)
+        cols.append(col)
+    return FieldMatrix.from_columns(K, cols)
+
+
+@pytest.mark.parametrize("p,m", all_divisor_params(23))
+def test_generator_matrix_matches_polynomial_products(p, m):
+    rng = random.Random(100 * p + m)
+    B, K, F = build_basis(p, m), make_field(p, 2), make_field(p)
+    zeta = zeta_of_order(K, m)
+    sigmas = [CurveAutomorphism.root_of_unity(zeta, m), CurveAutomorphism.root_of_unity(zeta**(m - 1), m)]
+    sigmas.extend(sl2_generators(p))
+    while len(sigmas) < 6:
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        if a:
+            sigmas.append(CurveAutomorphism.mobius_ints(F, a, b, c, (1 + b * c) * pow(a, -1, p)))
+    for sigma in sigmas:
+        assert generator_matrix(B, sigma, K) == reference_generator_matrix(B, sigma, K)
+
+
+def test_generator_matrix_takes_prime_field_entries_only():
+    B, K = build_basis(7, 4), make_field(7, 2)
+    t, _ = sl2_generators(7)
+    # the same Moebius map with its entries in F_49 gives the same matrix
+    lifted = CurveAutomorphism("mobius", abcd=tuple(lift_to(e, K) for e in t.abcd))
+    assert generator_matrix(B, lifted, K) == generator_matrix(B, t, K)
+    outside = CurveAutomorphism("mobius", abcd=(K.one(), K.gen(), K.zero(), K.one()))
+    with pytest.raises(InvalidCurveError):
+        generator_matrix(B, outside, K)
+    other = make_field(5)
+    foreign = CurveAutomorphism("mobius", abcd=tuple(other.element(v) for v in (1, 1, 0, 1)))
+    with pytest.raises(InvalidCurveError):
+        generator_matrix(B, foreign, K)
+    with pytest.raises(InvalidCurveError):
+        # (1 + x)^4 = -4 in F_49 = F_7[x]/(x^2 + 1)
+        generator_matrix(B, CurveAutomorphism("zeta", zeta=K.element([1, 1]), order_m=4), K)
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (7, 4), (7, 8)])
@@ -362,3 +445,50 @@ def test_plane_model_generator_orders():
     assert scaling.power(6) == ident
     assert rotation.power(3) == ident
     assert swap.power(2) == ident
+
+
+def reference_plane_module_generators(p):
+    """The plane-model generator matrices by FieldElement arithmetic: each
+    monomial's image l0^a l1^b l2^c expanded in exponent-triple dicts."""
+    K = make_field(p, 2)
+    one, zero = K.one(), K.zero()
+    monos = _monomials(p - 2)
+
+    def mul(f, g):
+        out = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, zero) + c1 * c2
+        return {key: v for key, v in out.items() if not v.is_zero()}
+
+    zeta = zeta_of_order(K, p + 1)
+    subs = [
+        [[zeta, zero, zero], [zero, one, zero], [zero, zero, one]],
+        [[zero, one, zero], [zero, zero, one], [one, zero, zero]],
+        [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+    ]
+    pairs = [(u, v) for u in K.elements() for v in K.elements()
+             if not u.is_zero() and not v.is_zero() and u ** (p + 1) + v ** (p + 1) == one]
+    if pairs:
+        u, v = pairs[0]
+        subs.append([[u, -(v**p), zero], [v, u**p, zero], [zero, zero, one]])
+    mats = []
+    for rows in subs:
+        forms = []
+        for i in range(3):
+            forms.append({tuple(int(t == j) for t in range(3)): rows[i][j] for j in range(3) if not rows[i][j].is_zero()})
+        cols = []
+        for exps in monos:
+            image = {(0, 0, 0): one}
+            for form, e in zip(forms, exps):
+                for _ in range(e):
+                    image = mul(image, form)
+            cols.append([image.get(mono, zero) for mono in monos])
+        mats.append(FieldMatrix.from_columns(K, cols))
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_plane_model_generators_match_element_arithmetic(p):
+    assert list(hermitian_plane_module(p).generators) == reference_plane_module_generators(p)

@@ -281,3 +281,20 @@ def test_ekedahl_hyperelliptic_genus_bound():
                 verdict = classify_p_rank(hasse_witt(X))
                 if verdict.verdict == "superspecial":
                     assert genus(X) <= (p - 1) // 2
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_stable_matrix_over_fp_is_the_g_fold_product(p):
+    # over F_p every Frobenius twist is A itself: binary powering against
+    # the plain loop of g - 1 products, on singular and nilpotent matrices too
+    rng = random.Random(p)
+    F = make_field(p)
+    for n in (1, 2, 3, 5):
+        mats = [FieldMatrix(F, [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(n)]
+                                for _ in range(n)]) for _ in range(3)]
+        mats.append(FieldMatrix(F, [[rng.randrange(1, p) if j > i else 0 for j in range(n)] for i in range(n)]))
+        for M in mats:
+            loop = M
+            for g in range(1, 10):
+                assert semilinear_stable_matrix(M, g) == loop
+                loop = loop @ M

@@ -79,6 +79,16 @@ def test_classify_large_prime_modulus_exits_1_at_once(capsys):
     assert code == 1 and "cannot certify" in err
 
 
+def test_classify_stable_rank_at_genus_500_takes_seconds(capsys):
+    # a singular Hasse-Witt matrix at genus 500: its stable rank is the rank
+    # of A^500, which the g-fold product took 30 s of CPU to reach
+    start = time.process_time()
+    code, out, err = run(capsys, ["classify", "y^2 = x^1001 + x mod 7", "--e", "1"])
+    assert code == 0, err
+    assert "p-rank: 20 of 500  -> intermediate" in out
+    assert time.process_time() - start < 10
+
+
 @pytest.mark.parametrize("curve", [
     "y^2 = x^5 - x mod 1000003",     # f^500001 has 2.5M coefficients
     "y^2 = x^20001 + x mod 7",       # genus 10000: a 10^8-entry window

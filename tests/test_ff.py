@@ -6,6 +6,9 @@ from superell.ff import (
     FieldMismatchError,
     _LogTables,
     NonPrimeModulusError,
+    _inverse,
+    _mul_matrix,
+    _times,
     frobenius,
     is_prime,
     lift_to,
@@ -226,3 +229,18 @@ def test_log_tables_add_wide_sums_in_groups(p, k, n):
     for i in range(0, K.order - 1, 101):
         v = f.eval(tables.element(i))
         assert v.is_zero() if logs[i + 1] < 0 else tables.element(logs[i + 1]) == v
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 3), (7, 2), (1009, 1)])
+def test_residue_inverse_times_c_is_one(p, k):
+    K = make_field(p, k)
+    one = list(K.one().coeffs)
+    for c in K.elements():
+        if c.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                _inverse(K, c.coeffs)
+            continue
+        inv = _inverse(K, c.coeffs)
+        assert len(inv) == k
+        assert _times(_mul_matrix(K, inv), c.coeffs, p) == one
+        assert c.inverse().coeffs == inv

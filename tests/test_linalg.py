@@ -3,7 +3,15 @@ import random
 import pytest
 
 from superell.ff import make_field
-from superell.linalg import FieldMatrix, _EchelonAccumulator, _slot_bytes, is_invariant_subspace, span_basis, spin
+from superell.linalg import (
+    FieldMatrix,
+    _EchelonAccumulator,
+    _slot_bytes,
+    _strong_components,
+    is_invariant_subspace,
+    span_basis,
+    spin,
+)
 from superell.poly import Polynomial
 
 
@@ -95,6 +103,88 @@ def test_charpoly_matches_cofactor_expansion(p, k):
               FieldMatrix(K, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]),
               FieldMatrix(K, [[d[0], 1, 0, 0], [0, d[0], 0, 0], [0, 0, d[1], d[2]], [0, 0, 0, d[3]]])):
         assert M.charpoly() == brute_charpoly(M)
+
+
+def permuted_block_triangular(field, rng, kinds):
+    """P A P^-1 for a random permutation P and A block upper triangular with
+    one diagonal block per kind: "singleton" (1 x 1), "zero" (2 x 2),
+    "dense" (3 x 3, no zero entry, so one strongly connected block) or
+    "triangular" (3 x 3 upper triangular).  Entries above the blocks are
+    random, zeros included."""
+    draw = element_drawer(field, rng)
+    size = {"singleton": 1, "zero": 2, "dense": 3, "triangular": 3}
+    n = sum(size[kind] for kind in kinds)
+    A = [[draw() for _ in range(n)] for _ in range(n)]
+    start = 0
+    for kind in kinds:
+        end = start + size[kind]
+        for i in range(start, end):
+            A[i][:start] = [field.zero()] * start
+            for j in range(start, end):
+                if kind == "zero" or (kind == "triangular" and j < i):
+                    A[i][j] = field.zero()
+                elif kind == "dense":
+                    while A[i][j].is_zero():
+                        A[i][j] = draw()
+        start = end
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return FieldMatrix(field, [[A[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (3, 3)])
+def test_charpoly_of_permuted_block_triangular_matrices(p, k):
+    K = make_field(p, k)
+    rng = random.Random(10 * p + k)
+    shapes = [
+        ["singleton"] * 6,                                  # diagonal
+        ["triangular", "triangular"],                       # triangular
+        ["singleton", "dense", "singleton", "zero"],        # mixed, with a zero block
+        ["dense", "triangular"],
+        ["zero", "dense"],
+        ["zero", "zero", "zero"],
+        ["dense"],                                          # one dense block
+        ["dense", "dense"],
+    ]
+    for kinds in shapes:
+        for _ in range(3):
+            M = permuted_block_triangular(K, rng, kinds)
+            assert M.charpoly() == brute_charpoly(M), kinds
+
+
+def reachability(adj):
+    reach = []
+    for s in range(len(adj)):
+        seen, todo = {s}, [s]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return reach
+
+
+def test_strong_components_match_mutual_reachability():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(0, 12)
+        density = rng.choice([0.05, 0.15, 0.3, 0.8])
+        adj = [[j for j in range(n) if j != i and rng.random() < density] for i in range(n)]
+        comps = _strong_components(adj)
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        reach = reachability(adj)
+        which = {v: c for c, comp in enumerate(comps) for v in comp}
+        for i in range(n):
+            for j in range(n):
+                assert (which[i] == which[j]) == (j in reach[i] and i in reach[j])
+                # a component comes out after every component it reaches
+                if j in reach[i]:
+                    assert which[j] <= which[i]
+    # a path deeper than the recursion limit
+    n = 5000
+    assert _strong_components([[i + 1] if i + 1 < n else [] for i in range(n)]) == [[i] for i in reversed(range(n))]
+    assert len(_strong_components([[(i + 1) % n] for i in range(n)])) == 1
 
 
 def test_charpoly_of_companion_like_matrix():
