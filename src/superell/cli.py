@@ -67,11 +67,20 @@ def _matrix_json(M):
 # ---------------------------------------------------------------------------
 
 
+def _parse_e(spec: str):
+    """The sorted distinct exponents of a --e comma list of positive integers."""
+    try:
+        e_list = sorted({int(t) for t in spec.split(",")})
+    except ValueError:
+        e_list = []
+    if not e_list or e_list[0] < 1:
+        raise UsageError(f"--e takes a comma list of positive integers, got {spec!r}")
+    return e_list
+
+
 def cmd_classify(args) -> int:
     X = parse_curve(args.curve)
-    e_list = sorted({int(t) for t in args.e.split(",") if t.strip()})
-    if not e_list:
-        e_list = [2]
+    e_list = _parse_e(args.e)
     g = curvemod.genus(X)
     counts = [curvemod.count_points(X, e) for e in e_list]
     results = {
@@ -329,7 +338,7 @@ def build_parser() -> _ArgumentParser:
         ),
     )
     p_classify.add_argument("curve", help='curve expression, e.g. "y^2 = x^5 - x mod 7"')
-    p_classify.add_argument("--e", default="2", help="comma list of extension exponents")
+    p_classify.add_argument("--e", default="2", help="comma list of positive extension exponents")
     p_classify.add_argument("--json", action="store_true")
     p_classify.set_defaults(func=cmd_classify)
 

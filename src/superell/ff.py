@@ -5,6 +5,15 @@ irreducible modulus polynomial.  The modulus is chosen deterministically
 (lexicographically smallest monic irreducible, comparing coefficient
 vectors constant-term first) so that every derived constant is
 reproducible across runs.
+
+Below the public types the module keeps the int-list core that `poly`,
+`linalg`, `cartier` and `canrep` share: one residue packer (`_pack`,
+`_unpack`: values in w-byte slots of one int, at C speed for every width
+up to 8 bytes), the Kronecker-substitution product `_polymul` at the
+least slot width that cannot carry, Euclid on F_p residue lists
+(`_polydivmod`, `_polygcd`), and products, powers, inverses and norms on
+the residue tuples of F_q.  A primitive element of F_q is found through
+its norm, which rejects most candidates with one k x k determinant.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ class NonPrimeModulusError(ValueError):
 # ---------------------------------------------------------------------------
 # Raw polynomial helpers over F_p (coefficient lists, ascending degree).
 # Kept local so this module stays dependency-free; `poly` builds the public
-# polynomial type on top of FieldElement and multiplies over F_p with `_polymul`.
+# polynomial type on top of FieldElement and runs its F_p products, powers,
+# division and gcd on these helpers.
 
 
 def _trim(cs):
@@ -36,25 +46,72 @@ def _trim(cs):
     return cs
 
 
+# The residue packer: values below 2^(8 w) in w-byte little-endian slots of
+# one int.  Widths 1, 2, 4 and 8 go through `array`; widths 3, 5, 6 and 7
+# through the next `array` width, whose w low byte planes are copied with
+# strided slice assignments; wider slots through one to_bytes per value.
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"}
+_ARRAY_WIDTHS = {w: min(c for c in _ARRAY_CODES if c >= w) for w in range(1, 9)}
+
+
+def _pack(values, w):
+    """One int holding the values, each below 2^(8 w), in w-byte slots."""
+    c = _ARRAY_WIDTHS.get(w)
+    if c is None:
+        return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+    a = array(_ARRAY_CODES[c], values)
+    if sys.byteorder == "big":
+        a.byteswap()
+    data = a.tobytes()
+    if c != w:
+        out = bytearray(len(a) * w)
+        for u in range(w):
+            out[u::w] = data[u::c]
+        data = out
+    return int.from_bytes(data, "little")
+
+
+def _slots(data, w):
+    """The values of the w-byte little-endian slots of data."""
+    c = _ARRAY_WIDTHS.get(w)
+    if c is None:
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+    if c != w:
+        wide = bytearray(len(data) // w * c)
+        for u in range(w):
+            wide[u::c] = data[u::w]
+        data = wide
+    a = array(_ARRAY_CODES[c], data)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tolist()
+
+
+def _unpack(x, count, w):
+    """The count w-byte slot values of the packed int x >= 0."""
+    return _slots(x.to_bytes(count * w, "little"), w)
+
+
 def _kronecker_bytes(a, b, p):
     """Little-endian bytes of the product of residue lists a, b (entries in
     [0, p)) packed w bytes per coefficient, and w.
 
     Slot n of the product is sum a_i b_(n-i) <= min(len a, len b) (p-1)^2
     < 2^(8w), so no slot carries into the next and one big-int multiply
-    gives every coefficient.  Squaring (a is b) packs once.
+    gives every coefficient.  w is the least such width, not rounded up:
+    the multiply's cost grows with the operands' length.  Squaring (a is b)
+    packs once.
     """
     w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    A = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
-    B = A if a is b else int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
+    A = _pack(a, w)
+    B = A if a is b else _pack(b, w)
     return (A * B).to_bytes((len(a) + len(b) - 1) * w, "little"), w
 
 
 def _polymul(a, b, p):
     if not a or not b:
         return []
-    bs, w = _kronecker_bytes(a, b, p)
-    return _trim([int.from_bytes(bs[i:i + w], "little") % p for i in range(0, len(bs), w)])
+    return _trim([c % p for c in _slots(*_kronecker_bytes(a, b, p))])
 
 
 def _polyrem(a, mod, p):
@@ -495,13 +552,43 @@ def _inverse(K, c):
 # logarithms"): every value of a polynomial over F_q from two int tables.
 
 
+def _norm(K, c):
+    """The norm N(c) = c^((q-1)/(p-1)) in F_p of c given by its residues:
+    the determinant of y -> c y, by elimination on its k x k matrix."""
+    p, rows, det = K.p, [list(r) for r in _mul_matrix(K, c)], 1
+    for j, row in enumerate(rows):
+        i = next((i for i in range(j, K.k) if rows[i][j]), None)
+        if i is None:
+            return 0
+        if i != j:
+            rows[j], rows[i], det = rows[i], row, -det
+        pivot = rows[j]
+        det = det * pivot[j] % p
+        inv = pow(pivot[j], -1, p)
+        for r in rows[j + 1:]:
+            if r[j]:
+                f = r[j] * inv
+                r[j:] = [(a - f * b) % p for a, b in zip(r[j:], pivot[j:])]
+    return det
+
+
 def _primitive_element(K):
     """The first g in `elements()` order with g^((q-1)/r) != 1 for every
-    prime r | q-1, that is a generator of K^x."""
-    Q, one = K.order - 1, K.one().coeffs
-    primes = list(_prime_divisors(Q))
-    return next(g for g in K.elements()
-                if not g.is_zero() and all(_power(K, g.coeffs, Q // r) != one for r in primes))
+    prime r | q-1, that is a generator of K^x.
+
+    For a prime r | p-1, g^((q-1)/r) = N(g)^((p-1)/r): g passes for those r
+    exactly when its norm is a primitive root mod p, which one determinant
+    and a few powers mod p decide.  Only a candidate that passes is powered
+    in K, for the primes r that divide M = (q-1)/(p-1) but not p-1.
+    """
+    p, Q, one = K.p, K.order - 1, K.one().coeffs
+    low = list(_prime_divisors(p - 1))
+    high = [r for r in _prime_divisors(Q // (p - 1)) if (p - 1) % r]
+    for g in K.elements():
+        n = _norm(K, g.coeffs)
+        if (n and all(pow(n, (p - 1) // r, p) != 1 for r in low)
+                and all(_power(K, g.coeffs, Q // r) != one for r in high)):
+            return g
 
 
 _RUN = 256  # elements per int sum in _LogTables.__iter__, which bounds its memory

@@ -33,8 +33,13 @@ normalised into an echelon basis or read out.  The bounds:
     n k >= 2.  Normalising a row forms at most k (p-1)^2, within the
     accumulator's bound.
 
-`_slot_bytes` turns a bound into w, rounded up to 1, 2, 4 or 8 bytes so
-that `array` unpacks a vector at C speed.
+`_slot_bytes` turns a bound into w, rounded up to 1, 2, 4 or 8 bytes.  The
+packer itself is `ff._pack`/`ff._unpack`, shared with the Kronecker
+products, which runs at C speed at every width up to 8 bytes; linalg keeps
+the rounded widths because they measured faster on the MeatAxe, whose
+vectors are short: with exact widths the meataxe benchmark ran 41-43
+ops/s against 45-49, as the odd widths' byte-plane copies cost more than
+the narrower slots save.
 
 The accumulator keeps a reduced echelon basis in insertion order.  Rank,
 nullspace, inverse and `span_basis` insert a matrix's rows and sort the
@@ -53,17 +58,14 @@ taken on residues (`ff._inverse`).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, compress
 from operator import add, mul
 
-from .ff import FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _inverse, _mul_matrix, frobenius
+from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _inverse, _mul_matrix,
+                 _pack, _unpack, frobenius)
 from .poly import Polynomial
-
-_ARRAY_CODES = {array(c).itemsize: c for c in "BHIQ"}
 
 
 def _slot_bytes(bound: int) -> int:
@@ -71,29 +73,6 @@ def _slot_bytes(bound: int) -> int:
     or the exact byte count above."""
     size = max(1, (bound.bit_length() + 7) // 8)
     return size if size > 8 else 1 << (size - 1).bit_length()
-
-
-def _pack(values, w):
-    """One int holding the values, each below 2^(8 w), in w-byte slots."""
-    code = _ARRAY_CODES.get(w)
-    if code is None:
-        return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
-    a = array(code, values)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return int.from_bytes(a.tobytes(), "little")
-
-
-def _unpack(x, count, w):
-    """The count w-byte slot values of the packed int x >= 0."""
-    data = x.to_bytes(count * w, "little")
-    code = _ARRAY_CODES.get(w)
-    if code is None:
-        return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
-    a = array(code, data)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a.tolist()
 
 
 def _residues(field, vec):

@@ -1,16 +1,19 @@
 """Dense univariate polynomials over a finite field.
 
 Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial has an empty coefficient vector.  Over F_p, products and
-powers run on int residues through one Kronecker-substitution kernel,
-`ff._polymul`, with w-byte slots where 2^(8w) > min(len a, len b) (p-1)^2;
-over F_{p^k}, k >= 2, products are schoolbook.
+zero polynomial has an empty coefficient vector.  Over F_p the arithmetic
+runs on int residues in the helpers of `ff`, with one `Polynomial` built
+from the result: products and powers through one Kronecker-substitution
+kernel, `ff._polymul`, with w-byte slots where w is the least width with
+2^(8w) > min(len a, len b) (p-1)^2, and division, gcd and the squarefree
+test through `ff._polydivmod` and `ff._polygcd`.  Over F_{p^k}, k >= 2,
+products and division run on FieldElements, products schoolbook.
 """
 
 from __future__ import annotations
 
 from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _LogTables,
-                 _polymul, lift_to)
+                 _polydivmod, _polygcd, _polymul, lift_to)
 
 
 class Polynomial:
@@ -109,8 +112,8 @@ class Polynomial:
             return Polynomial.zero(self.field)
         f = self.field
         if f.k == 1:
-            a = [c.coeffs[0] for c in self.coeffs]
-            b = a if other is self else [c.coeffs[0] for c in other.coeffs]
+            a = _ints(self)
+            b = a if other is self else _ints(other)
             return Polynomial(f, _polymul(a, b, f.p))
         z = f.zero()
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -131,6 +134,10 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        if F.k == 1:
+            q, r = _polydivmod(_ints(self), _ints(other), F.p)
+            return Polynomial(F, q), Polynomial(F, r)
         rem = list(self.coeffs)
         q = [self.field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
         inv_lead = other.leading().inverse()
@@ -154,10 +161,7 @@ class Polynomial:
         return divmod(self, other)[0]
 
     def derivative(self) -> "Polynomial":
-        out = []
-        for n in range(1, len(self.coeffs)):
-            out.append(self.field.element(n) * self.coeffs[n])
-        return Polynomial(self.field, out)
+        return Polynomial(self.field, [[n * r for r in c.coeffs] for n, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -194,19 +198,29 @@ class Polynomial:
         return render_poly(self)
 
 
+def _ints(f: Polynomial):
+    """The residues of f's coefficients, f over F_p."""
+    return [c.coeffs[0] for c in f.coeffs]
+
+
 def poly_pow(f: Polynomial, e: int) -> Polynomial:
     """f^e by binary exponentiation; f^0 = 1 including for f = 0."""
     if e < 0:
         raise ValueError("negative polynomial power")
     F = f.field
     if F.k == 1:
-        ints = [c.coeffs[0] for c in f.coeffs]
-        return Polynomial(F, _binary_power(ints, e, lambda a, b: _polymul(a, b, F.p), [1]))
+        return Polynomial(F, _binary_power(_ints(f), e, lambda a, b: _polymul(a, b, F.p), [1]))
     return _binary_power(f, e, Polynomial.__mul__, Polynomial.one(F))
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
+    F = f.field
+    if F.k == 1:
+        f._check(g)
+        a = _polygcd(_ints(f), _ints(g), F.p)
+        inv_lead = pow(a[-1], -1, F.p) if a else 0
+        return Polynomial(F, [c * inv_lead for c in a])
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b

@@ -61,6 +61,19 @@ def test_classify_non_prime_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("e", [",", " ", "", "x", "1,x", "0", "-1", "1,,2", "2,"])
+def test_classify_rejects_a_malformed_e_list(capsys, e):
+    code, out, err = run(capsys, ["classify", "y^2 = x^5 + 1 mod 3", "--e", e])
+    assert (code, out) == (1, "")
+    assert "--e takes a comma list of positive integers" in err
+    assert "invalid literal" not in err
+
+
+def test_classify_e_list_may_repeat_and_space(capsys):
+    assert run(capsys, ["classify", "y^2 = x^5 + 1 mod 3", "--e", "2, 1,2"])[1] == \
+        run(capsys, ["classify", "y^2 = x^5 + 1 mod 3", "--e", "1,2"])[1]
+
+
 def test_classify_even_modulus_with_huge_cofactor_exits_1(capsys):
     # 2 (2^61 - 1): the primality test stops at the factor 2
     code, out, err = run(capsys, ["classify", f"y^2 = x^5 - x mod {2 * (2**61 - 1)}"])

@@ -2,13 +2,18 @@ import random
 
 import pytest
 
+import sympy
+
 from superell.ff import (
     FieldMismatchError,
     _LogTables,
     NonPrimeModulusError,
     _inverse,
     _mul_matrix,
+    _pack,
+    _primitive_element,
     _times,
+    _unpack,
     frobenius,
     is_prime,
     lift_to,
@@ -244,3 +249,34 @@ def test_residue_inverse_times_c_is_one(p, k):
         assert len(inv) == k
         assert _times(_mul_matrix(K, inv), c.coeffs, p) == one
         assert c.inverse().coeffs == inv
+
+
+# -- the residue packer shared by linalg and the Kronecker products ----------
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_pack_round_trips_at_every_width(w):
+    rng = random.Random(w)
+    top = (1 << 8 * w) - 1
+    for values in ([], [0], [top], [top] * 37, [rng.randrange(top + 1) for _ in range(101)]):
+        x = _pack(values, w)
+        assert x == int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+        assert _unpack(x, len(values), w) == values
+
+
+# -- the primitive element, filtered through the norm -----------------------
+
+
+def plain_primitive_element(K):
+    """The first nonzero g in elements() order with g^((q-1)/r) != 1 for
+    every prime r | q-1, by FieldElement powers."""
+    Q = K.order - 1
+    primes = sympy.primefactors(Q)
+    return next(g for g in K.elements() if not g.is_zero() and all(g ** (Q // r) != K.one() for r in primes))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 7), (2, 13), (13, 3), (5, 5), (211, 2),
+                                  (2, 1), (3, 1), (7, 1), (41, 1), (1009, 1), (65537, 1)])
+def test_primitive_element_is_the_first_generator_in_element_order(p, k):
+    K = make_field(p, k)
+    assert _primitive_element(K) == plain_primitive_element(K)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_mul, gf_pow, gf_strip
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow, gf_sqf_p, gf_strip
 
-from superell.ff import _polymul, make_field
+from superell.ff import _kronecker_bytes, _polymul, make_field
+from superell.ff import FieldMismatchError
 from superell.poly import Polynomial, is_squarefree, poly_gcd, poly_pow, roots_in_field
 
 KERNEL_PRIMES = [2, 3, 1009, 1000003]
@@ -196,6 +197,32 @@ def test_polymul_at_the_width_bound(p, n, m):
     assert _polymul(a, a, p) == schoolbook_ints(a, a, p)
 
 
+# (p, n, w): n-coefficient factors give the exact slot width w, the least
+# with 2^(8w) > n (p-1)^2, including the widths that `array` lacks
+EXACT_WIDTHS = [(53, 60, 3), (1009, 60, 4), (65537, 40, 5), (1048573, 40, 6), (16777213, 40, 7),
+                (2**31 - 1, 2, 8), (2**31 - 1, 40, 9), (2**61 - 1, 40, 16)]
+
+
+@pytest.mark.parametrize("p, n, w", EXACT_WIDTHS)
+def test_polymul_at_exact_widths_matches_sympy(p, n, w):
+    rng = random.Random(n * p)
+    for a, b in [([p - 1] * n, [p - 1] * (n + 3)),
+                 ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(2 * n)])]:
+        assert _kronecker_bytes(a, b, p)[1] == w
+        assert _polymul(a, b, p) == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
+        assert _polymul(a, a, p) == from_gf(gf_mul(to_gf(a), to_gf(a), p, ZZ))
+
+
+def test_kronecker_square_keeps_the_exact_width():
+    # 20k coefficients at p = 1009: slots up to 20000 (p-1)^2 < 2^40 take 5
+    # bytes, not the 8 of the next array width.  For a = (p-1, ..., p-1),
+    # (p-1)^2 = 1 mod p, so slot n of a^2 is min(n + 1, 2N - 1 - n) mod p.
+    p, N = 1009, 20000
+    a = [p - 1] * N
+    assert _kronecker_bytes(a, a, p)[1] == 5
+    assert _polymul(a, a, p) == [min(n + 1, 2 * N - 1 - n) % p for n in range(2 * N - 1)]
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_polynomial_products_and_powers_match_sympy(p):
     rng = random.Random(1000 + p)
@@ -209,3 +236,91 @@ def test_polynomial_products_and_powers_match_sympy(p):
         for e in (0, 1, 2, 5, 16, 37):
             got = [c.lift() for c in poly_pow(f, e).coeffs]
             assert got == from_gf(gf_pow(to_gf(coeffs), e, p, ZZ))
+
+
+# -- Euclid on F_p ints against sympy -----------------------------------------
+
+
+def lifts(f):
+    return [c.lift() for c in f.coeffs]
+
+
+def check_euclid_against_sympy(F, a, b):
+    p = F.p
+    f, g = Polynomial(F, a), Polynomial(F, b)
+    assert lifts(poly_gcd(f, g)) == from_gf(gf_gcd(to_gf(a), to_gf(b), p, ZZ))
+    if not g.is_zero():
+        q, r = divmod(f, g)
+        sq, sr = gf_div(to_gf(a), to_gf(b), p, ZZ)
+        assert (lifts(q), lifts(r)) == (from_gf(sq), from_gf(sr))
+        assert (f // g, f % g) == (q, r)
+    if not f.is_zero():
+        assert is_squarefree(f) == gf_sqf_p(to_gf(a), p, ZZ)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1009])
+def test_euclid_over_fp_matches_sympy(p):
+    rng = random.Random(3000 + p)
+    F = make_field(p)
+
+    def rand(lo, hi):
+        return [rng.randrange(p) for _ in range(rng.randrange(lo, hi))]
+
+    for _ in range(40):
+        a, b, c = rand(0, 12), rand(1, 8), rand(1, 5)
+        check_euclid_against_sympy(F, a, b)
+        check_euclid_against_sympy(F, _polymul(a, c, p), _polymul(b, c, p))  # a shared factor
+        check_euclid_against_sympy(F, _polymul(b, _polymul(c, c, p), p), a)  # a square factor
+        lead = rng.randrange(2, p) if p > 2 else 1
+        check_euclid_against_sympy(F, a, b + [lead])  # divisor with a non-unit leading coefficient
+    for const in ([1], [p - 1]):
+        check_euclid_against_sympy(F, const, [1, 1])
+        check_euclid_against_sympy(F, [1, 1, p - 1], const)
+    h = Polynomial(F, [1, 1, 0, 1])
+    hp = poly_pow(h, p)
+    assert hp.derivative().is_zero()  # a p-th power: f' = 0
+    check_euclid_against_sympy(F, lifts(hp), [1, 1])
+    assert not is_squarefree(hp)
+
+
+@pytest.mark.parametrize("p", [2, 5, 1009])
+def test_euclid_errors_over_fp(p):
+    F = make_field(p)
+    f, zero = Polynomial(F, [1, 2, 1]), Polynomial.zero(F)
+    with pytest.raises(ZeroDivisionError):
+        divmod(f, zero)
+    with pytest.raises(ZeroDivisionError):
+        f % zero
+    with pytest.raises(ValueError):
+        is_squarefree(zero)
+    assert poly_gcd(zero, zero) == zero
+    assert divmod(zero, f) == (zero, zero)
+    with pytest.raises(FieldMismatchError):
+        poly_gcd(f, Polynomial(make_field(3 if p != 3 else 5), [1, 1]))
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
+def test_euclid_over_fp2_properties(p, k):
+    rng = random.Random(p)
+    F = make_field(p, k)
+
+    def rand(lo, hi):
+        return Polynomial(F, [[rng.randrange(p) for _ in range(k)] for _ in range(rng.randrange(lo, hi))])
+
+    for _ in range(30):
+        a, b, c = rand(0, 7), rand(1, 6), rand(2, 4)
+        if not b.is_zero():
+            q, r = divmod(a, b)
+            assert q * b + r == a and r.degree < b.degree
+        if c.degree >= 1:
+            d = poly_gcd(a * c, b * c)
+            assert d.leading() == F.one()
+            assert (a * c) % d == Polynomial.zero(F) and (b * c) % d == Polynomial.zero(F)
+            assert d % c.monic() == Polynomial.zero(F)
+            if not b.is_zero():
+                assert not is_squarefree(b * c * c)
+    elems = [t for t in F.elements()][:4]
+    linear = [Polynomial(F, [-t, F.one()]) for t in elems]
+    prod = linear[0] * linear[1] * linear[2] * linear[3]
+    assert is_squarefree(prod)
+    assert not is_squarefree(prod * linear[2])
