@@ -129,16 +129,16 @@ def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> 
     if sigma.kind != "mobius":
         raise InvalidCurveError(f"unknown automorphism kind {sigma.kind!r}")
     a, b, c, d = (_prime_field_int(t, p) for t in sigma.abcd)
-    ax_b, cx_d = [[1]], [[1]]
+    Fp, ax_b, cx_d = K._prime, [[1]], [[1]]
     for _ in range(B.m_prime * (B.m - 1) - 2):
-        ax_b.append(_polymul(ax_b[-1], [b, a], p))
-        cx_d.append(_polymul(cx_d[-1], [d, c], p))
+        ax_b.append(_polymul(ax_b[-1], [b, a], Fp))
+        cx_d.append(_polymul(cx_d[-1], [d, c], Fp))
     flat = [0] * (dim * dim * k)
     start = {}
     for col, (j, i) in enumerate(B.entries):
         start.setdefault(j, col)
         top = B.m_prime * j - 2
-        pol = _polymul(ax_b[i], cx_d[top - i], p)
+        pol = _polymul(ax_b[i], cx_d[top - i], Fp)
         if len(pol) - 1 > top:
             raise AssertionError("pullback left the basis monomial range")
         for ip, coeff in enumerate(pol):
@@ -346,8 +346,8 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
 
 def _roots_with_multiplicity(chi):
     """Roots of chi in its field, sorted by (multiplicity, coeffs)."""
-    roots = []
-    coeffs = [c.coeffs for c in chi.coeffs]
+    roots, k = [], chi.field.k
+    coeffs = [chi.residues[i:i + k] for i in range(0, len(chi.residues), k)]
     for lam in roots_in_field(chi, chi.field):
         # divide lam's factors out, so later roots deflate a shorter quotient
         rows = _mul_matrix(chi.field, lam.coeffs)

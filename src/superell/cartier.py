@@ -3,9 +3,10 @@
 For y^2 = f(x) in odd characteristic the matrix of the p-power Frobenius
 acting on H^1(X, O_X) with respect to the classes y/x^i (i = 1..g) has
 (i, j) entry equal to the x^(p*i - j) coefficient of f(x)^((p-1)/2).
-Over F_p only that window is read: h = f^(e//2), e = (p-1)/2, is powered
-on int residues and the last product h*h (or h*(h*f) for odd e) is
-unpacked at the g^2 slots x^(p*i - j) alone.
+Only that window is read: h = f^(e//2), e = (p-1)/2, is powered on int
+residues through `ff._polymul`, and the last product h*h (or h*(h*f) for
+odd e) is left packed; its g^2 coefficients x^(p*i - j) alone are cut from
+the product's bytes and folded (`ff._fold`), over F_p and F_{p^k} alike.
 The p-rank is the rank of the g-fold semilinear product
 A * A^(p) * ... * A^(p^(g-1)), where ^(p) raises entries to the p-th
 power; over F_p it is A^g, taken by binary powering.  An invertible A
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import SuperellipticCurve, UnsupportedModelError, count_points, genus
-from .ff import _binary_power, _kronecker_bytes, _polymul
-from .linalg import FieldMatrix
-from .poly import poly_pow
+from .ff import _binary_power, _fold, _kronecker_bytes, _polymul, _slots
+from .linalg import FieldMatrix, _Rows
 
 
 # Alias kept for callers that catch it: no model raises it, since the
@@ -68,16 +68,18 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
     if work > HASSE_WITT_WORK_LIMIT:
         raise ValueError(f"Hasse-Witt work estimate {work} (deg f (p-1)/2 coefficients + g^2 entries) "
                          f"exceeds the budget {HASSE_WITT_WORK_LIMIT}")
-    if X.field.k == 1:
-        f = [c.coeffs[0] for c in X.f.coeffs]
-        h = _binary_power(f, e // 2, lambda a, b: _polymul(a, b, p), [1])
-        bs, w = _kronecker_bytes(h, h if e % 2 == 0 else _polymul(h, f, p), p)
-        coeff = lambda n: int.from_bytes(bs[n * w:n * w + w], "little") % p if n >= 0 else 0
-    else:
-        coeff = poly_pow(X.f, e).coeff
-    rows = [[coeff(p * i - j) for j in range(1, g + 1)] for i in range(1, g + 1)]
+    F, f = X.field, X.f.residues
+    k = F.k
+    h = _binary_power(f, e // 2, lambda a, b: _polymul(a, b, F), [1] + [0] * (k - 1))
+    bs, w = _kronecker_bytes(h, h if e % 2 == 0 else _polymul(h, f, F), F)
+    # coefficient n of f^e is the 2k - 1 slots at byte n W; past either end it is 0
+    W, zero = (2 * k - 1) * w, bytes((2 * k - 1) * w)
+    window = b"".join((bs[n * W:n * W + W] or zero) if n >= 0 else zero
+                      for i in range(1, g + 1) for n in range(p * i - 1, p * i - g - 1, -1))
+    entries = _fold(_slots(window, w), F)
+    rows = [tuple(entries[r:r + g * k]) for r in range(0, g * g * k, g * k)]
     labels = tuple(f"y/x^{i}" for i in range(1, g + 1))
-    return HasseWittMatrix(matrix=FieldMatrix(X.field, rows), genus=g, basis_labels=labels)
+    return HasseWittMatrix(matrix=FieldMatrix(F, _Rows(F, rows)), genus=g, basis_labels=labels)
 
 
 def semilinear_stable_matrix(M: FieldMatrix, g: int) -> FieldMatrix:

@@ -172,7 +172,7 @@ def _value_logs(X: SuperellipticCurve, e: int):
     if q > POINT_ENUMERATION_LIMIT:
         raise ValueError(f"field of order {q} exceeds enumeration limit")
     K = _extension_for(X, e)
-    return K, _LogTables(K, X.f.coeffs)
+    return K, _LogTables(K, X.f)
 
 
 def count_points(X: SuperellipticCurve, e: int) -> PointCount:

@@ -14,6 +14,8 @@ token set.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .curve import SuperellipticCurve
 from .ff import FieldDescriptor, NonPrimeModulusError, make_field
 from .poly import Polynomial
@@ -159,7 +161,7 @@ def _terms_to_poly(terms, field) -> Polynomial:
     coeffs = [0] * (top + 1)
     for c, d in terms:
         coeffs[d] += c
-    return Polynomial(field, [c % field.p for c in coeffs])
+    return Polynomial(field, coeffs)
 
 
 def parse_curve(src: str) -> SuperellipticCurve:
@@ -198,10 +200,8 @@ def render_poly(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    for d in range(f.degree, -1, -1):
-        c = f.coeff(d).lift()
-        if c == 0:
-            continue
+    for d in reversed(list(compress(range(len(f.residues)), f.residues))):
+        c = f.residues[d]
         if d == 0:
             pieces.append(str(c))
         elif d == 1:

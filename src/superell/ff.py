@@ -6,14 +6,28 @@ irreducible modulus polynomial.  The modulus is chosen deterministically
 vectors constant-term first) so that every derived constant is
 reproducible across runs.
 
-Below the public types the module keeps the int-list core that `poly`,
-`linalg`, `cartier` and `canrep` share: one residue packer (`_pack`,
-`_unpack`: values in w-byte slots of one int, at C speed for every width
-up to 8 bytes), the Kronecker-substitution product `_polymul` at the
-least slot width that cannot carry, Euclid on F_p residue lists
-(`_polydivmod`, `_polygcd`), and products, powers, inverses and norms on
-the residue tuples of F_q.  A primitive element of F_q is found through
-its norm, which rejects most candidates with one k x k determinant.
+One representation: below the public types an element of F_q, q = p^k,
+is its k residues in [0, p), and a polynomial or vector over F_q is the
+flat list of its entries' residues, k per entry.  `_residues` and
+`_elements` are the one boundary to and from `FieldElement`; an int
+crosses it without becoming one.  The int-list core that `poly`, `linalg`,
+`cartier` and `canrep` share is one residue packer (`_pack`/`_unpack`, at
+C speed for every width up to 8 bytes), one polynomial product for every
+F_q, Euclid on flat residue lists (`_polydivmod`, `_polygcd`), and
+products, powers, inverses and norms of single elements.
+
+The product `_polymul` is Kronecker substitution in the two-level form of
+Harvey (2009).  Coefficient i's k residues take slots i (2k - 1) + u,
+u < k, and k - 1 zero slots follow, so one big-int multiply leaves in
+slot c (2k - 1) + t the x^t term, t < 2k - 1, of the unreduced sum of
+a_i b_j over i + j = c.  That slot adds at most min(n_a, n_b) k products
+of residues, for factors of n_a and n_b coefficients, so slots of the
+least w bytes with 2^(8w) > min(n_a, n_b) k (p-1)^2 never carry.  `_fold`
+reduces the k - 1 high slots of each coefficient through `_reductions` and
+takes every residue mod p; for k = 1 it is the reduction mod p alone.
+
+A primitive element of F_q is found through its norm, which rejects most
+candidates with one k x k determinant.
 """
 
 from __future__ import annotations
@@ -34,15 +48,16 @@ class NonPrimeModulusError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial helpers over F_p (coefficient lists, ascending degree).
-# Kept local so this module stays dependency-free; `poly` builds the public
-# polynomial type on top of FieldElement and runs its F_p products, powers,
-# division and gcd on these helpers.
+# Polynomials over F_q as flat residue lists (ascending degree, k residues
+# per coefficient, K the field).  `poly` builds the public polynomial type
+# on these helpers; `linalg`, `cartier` and `canrep` call them directly.
 
 
-def _trim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
+def _trim(cs, k=1):
+    """cs without its trailing zero coefficients of k residues each; the
+    trailing zero residues are counted at C speed."""
+    zeros = len(list(itertools.takewhile(operator.not_, reversed(cs))))
+    del cs[len(cs) - zeros // k * k:]
     return cs
 
 
@@ -92,36 +107,99 @@ def _unpack(x, count, w):
     return _slots(x.to_bytes(count * w, "little"), w)
 
 
-def _kronecker_bytes(a, b, p):
-    """Little-endian bytes of the product of residue lists a, b (entries in
-    [0, p)) packed w bytes per coefficient, and w.
-
-    Slot n of the product is sum a_i b_(n-i) <= min(len a, len b) (p-1)^2
-    < 2^(8w), so no slot carries into the next and one big-int multiply
-    gives every coefficient.  w is the least such width, not rounded up:
-    the multiply's cost grows with the operands' length.  Squaring (a is b)
-    packs once.
-    """
-    w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    A = _pack(a, w)
-    B = A if a is b else _pack(b, w)
-    return (A * B).to_bytes((len(a) + len(b) - 1) * w, "little"), w
+def _spread(a, k):
+    """The flat residues a with k - 1 zero slots after each coefficient."""
+    if k == 1:
+        return a
+    out = [0] * (len(a) // k * (2 * k - 1))
+    for u in range(k):
+        out[u::2 * k - 1] = a[u::k]
+    return out
 
 
-def _polymul(a, b, p):
+def _kronecker_bytes(a, b, K):
+    """Little-endian bytes of the unreduced product of the flat residue
+    lists a, b over K, 2k - 1 slots of w bytes per coefficient, and w: the
+    least width that cannot carry (see the module docstring), not rounded
+    up, since the multiply's cost grows with the operands' length.
+    Squaring (a is b) packs once."""
+    k = K.k
+    w = ((min(len(a), len(b)) * (K.p - 1) ** 2).bit_length() + 7) // 8
+    A = _pack(_spread(a, k), w)
+    B = A if a is b else _pack(_spread(b, k), w)
+    return (A * B).to_bytes((len(a) + len(b) - k) // k * (2 * k - 1) * w, "little"), w
+
+
+def _fold(slots, K):
+    """The flat residues of the coefficients given as 2k - 1 unreduced
+    slots each: slot k + s adds its value times x^(k+s) mod the modulus,
+    `_reductions[s]`, and every residue is taken mod p."""
+    p, k = K.p, K.k
+    if k == 1:
+        return [c % p for c in slots]
+    step = 2 * k - 1
+    out = [0] * (len(slots) // step * k)
+    for u in range(k):
+        acc = slots[u::step]
+        for s, red in enumerate(K._reductions):
+            if red[u]:
+                acc = [a + red[u] * h for a, h in zip(acc, slots[k + s::step])]
+        out[u::k] = [c % p for c in acc]
+    return out
+
+
+def _polymul(a, b, K):
     if not a or not b:
         return []
-    return _trim([c % p for c in _slots(*_kronecker_bytes(a, b, p))])
+    return _trim(_fold(_slots(*_kronecker_bytes(a, b, K)), K), K.k)
 
 
-def _polyrem(a, mod, p):
-    return _polydivmod(a, mod, p)[1]
+def _polyadd(a, b, K):
+    return _trim([(x + y) % K.p for x, y in itertools.zip_longest(a, b, fillvalue=0)], K.k)
 
 
-def _polygcd(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
+def _polysub(a, b, K):
+    return _trim([(x - y) % K.p for x, y in itertools.zip_longest(a, b, fillvalue=0)], K.k)
+
+
+def _polydivmod(a, b, K):
+    """Quotient and remainder of a by b != 0, trimmed flat residue lists.
+
+    Each step clears the top coefficient t of the remainder: the quotient
+    gains c = t / lead(b) and the remainder loses c b.  Over F_p these are
+    int products mod p, as in schoolbook division; for k >= 2 they go
+    through k x k multiplication matrices (`_times`, `_scale`).  Trimming
+    the remainder after a step skips a run of zero coefficients at once.
+    """
+    p, k = K.p, K.k
+    a, n = list(a), len(b)
+    q = [0] * max(len(a) - n + k, 0)
+    inv = _mul_matrix(K, _inverse(K, b[-k:]))
+    while len(a) >= n:
+        s = len(a) - n
+        if k == 1:
+            c = a[-1] * inv[0][0] % p
+            q[s] = c
+            a[s:-1] = [(x - c * y) % p for x, y in zip(a[s:-1], b)]
+        else:
+            c = _times(inv, a[-k:], p)
+            q[s:s + k] = c
+            a[s:-k] = [(x - y) % p for x, y in zip(a[s:-k], _scale(b, c, K))]
+        del a[-k:]
+        if a and not any(a[-k:]):
+            _trim(a, k)
+    return q, a
+
+
+def _polyrem(a, mod, K):
+    return _polydivmod(a, mod, K)[1]
+
+
+def _polygcd(a, b, K):
+    """A gcd of flat residue lists, not made monic."""
+    a, b = _trim(list(a), K.k), _trim(list(b), K.k)
     while b:
-        a, b = b, _polyrem(a, b, p)
+        a, b = b, _polyrem(a, b, K)
     return a
 
 
@@ -137,18 +215,18 @@ def _binary_power(base, e, mul, one):
     return result
 
 
-def _polypowmod(base, e, mod, p):
-    return _binary_power(_polyrem(base, mod, p), e,
-                         lambda a, b: _polyrem(_polymul(a, b, p), mod, p), [1])
+def _polypowmod(base, e, mod, K):
+    return _binary_power(_polyrem(base, mod, K), e,
+                         lambda a, b: _polyrem(_polymul(a, b, K), mod, K), [1])
 
 
-def _is_irreducible(coeffs, p):
-    """Irreducibility of a monic polynomial over F_p.
+def _is_irreducible(coeffs, F):
+    """Irreducibility of a monic polynomial over the prime field F.
 
     Degree <= 3 reduces to a root search; higher degrees use the full
     x^(p^d) == x criterion together with gcd checks at proper divisors.
     """
-    k = len(coeffs) - 1
+    p, k = F.p, len(coeffs) - 1
     if k == 1:
         return True
     if coeffs[0] == 0:
@@ -156,25 +234,13 @@ def _is_irreducible(coeffs, p):
     if k <= 3:
         return all(_polyeval(coeffs, a, p) != 0 for a in range(p))
     x = [0, 1]
-    xq = _polypowmod(x, p**k, coeffs, p)
-    if _trim(list(xq)) != x:
+    if _polypowmod(x, p**k, coeffs, F) != x:
         return False
     for r in _prime_divisors(k):
-        xq = _polypowmod(x, p ** (k // r), coeffs, p)
-        diff = _polysub(xq, x, p)
-        if len(_polygcd(coeffs, diff, p)) > 1:
+        diff = _polysub(_polypowmod(x, p ** (k // r), coeffs, F), x, F)
+        if len(_polygcd(coeffs, diff, F)) > 1:
             return False
     return True
-
-
-def _polysub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _trim(out)
 
 
 def _polyeval(coeffs, a, p):
@@ -258,7 +324,7 @@ class FieldDescriptor:
     independently constructed descriptors of the same field are equal.
     """
 
-    __slots__ = ("p", "k", "modulus", "_reductions")
+    __slots__ = ("p", "k", "modulus", "_reductions", "_prime")
 
     def __init__(self, p: int, k: int, modulus=None):
         if not is_prime(p):
@@ -267,6 +333,8 @@ class FieldDescriptor:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         self.p = p
         self.k = k
+        # the prime field, on which the modulus arithmetic runs
+        self._prime = self if k == 1 else FieldDescriptor(p, 1)
         if k == 1:
             if modulus is not None:
                 raise ValueError("prime field carries no modulus polynomial")
@@ -277,10 +345,10 @@ class FieldDescriptor:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if not _is_irreducible(list(modulus), p):
+            if not _is_irreducible(list(modulus), self._prime):
                 raise ValueError("modulus polynomial is reducible")
             self.modulus = modulus
-        # x^(k+s) reduced mod the modulus, for schoolbook product reduction
+        # x^(k+s) reduced mod the modulus, s < k - 1, for product reduction
         self._reductions = None
         if k > 1:
             red = []
@@ -300,18 +368,9 @@ class FieldDescriptor:
 
     def element(self, value) -> "FieldElement":
         """Coerce an integer or coefficient sequence into this field."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError("element belongs to a different field")
+        if isinstance(value, FieldElement) and value.field == self:
             return value
-        if isinstance(value, int):
-            coeffs = [value % self.p] + [0] * (self.k - 1)
-        else:
-            coeffs = [c % self.p for c in value]
-            if len(coeffs) > self.k:
-                raise ValueError("coefficient vector longer than degree")
-            coeffs += [0] * (self.k - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, tuple(_residues(self, (value,))))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -353,9 +412,10 @@ def _smallest_irreducible(p: int, k: int):
     Candidate vectors (c_0, ..., c_{k-1}) are scanned in ascending tuple
     order, constant term most significant.
     """
+    F = FieldDescriptor(p, 1)
     for low in itertools.product(range(p), repeat=k):
         cand = list(low) + [1]
-        if _is_irreducible(cand, p):
+        if _is_irreducible(cand, F):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -417,21 +477,7 @@ class FieldElement:
         p = f.p
         if f.k == 1:
             return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        a, b = self.coeffs, other.coeffs
-        k = f.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:k]]
-        for s, c in enumerate(prod[k:]):
-            if c % p:
-                row = f._reductions[s]
-                c %= p
-                for idx, r in enumerate(row):
-                    out[idx] = (out[idx] + c * r) % p
-        return FieldElement(f, tuple(out))
+        return FieldElement(f, tuple(_times(_mul_matrix(f, self.coeffs), other.coeffs, p)))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -464,23 +510,6 @@ class FieldElement:
         return f"{list(self.coeffs)}"
 
 
-def _polydivmod(a, b, p):
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        a.pop()
-    return _trim(q), _trim(a)
-
-
 def frobenius(a: FieldElement) -> FieldElement:
     """The p-power Frobenius a -> a^p; identity on the prime field."""
     if a.field.k == 1:
@@ -503,7 +532,36 @@ def lift_to(a: FieldElement, K: FieldDescriptor) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Products and powers on residue tuples, without FieldElement.
+# The boundary between FieldElement and flat residues, and products,
+# powers and inverses on residues.
+
+
+def _residues(field, values):
+    """The flat residues of a sequence of ints, residue sequences or
+    FieldElements of field: the one coercion into the int representation.
+    An int becomes its residues without a FieldElement."""
+    p, k = field.p, field.k
+    pad, out = [0] * (k - 1), []
+    for c in values:
+        if isinstance(c, int):
+            out.append(c % p)
+            out += pad
+        elif isinstance(c, FieldElement):
+            if c.field is not field and c.field != field:
+                raise FieldMismatchError("element belongs to a different field")
+            out += c.coeffs
+        else:
+            r = [a % p for a in c]
+            if len(r) > k:
+                raise ValueError("coefficient vector longer than degree")
+            out += r + [0] * (k - len(r))
+    return out
+
+
+def _elements(field, flat):
+    """The FieldElement tuple of a flat residue vector."""
+    k = field.k
+    return tuple(FieldElement(field, tuple(flat[i:i + k])) for i in range(0, len(flat), k))
 
 
 def _mul_matrix(K, c):
@@ -521,6 +579,27 @@ def _times(rows, x, p):
     return [sum(map(operator.mul, row, x)) % p for row in rows]
 
 
+def _apply(vec, rows, p, k):
+    """The k x k F_p-matrix `rows` applied to every entry of a flat residue vector."""
+    if k == 1:
+        c = rows[0][0]
+        return [a * c % p for a in vec]
+    planes = [vec[u::k] for u in range(k)]
+    out = [0] * len(vec)
+    for u, r in enumerate(rows):
+        acc = [0] * len(planes[0])
+        for c, plane in zip(r, planes):
+            if c:
+                acc = [s + c * a for s, a in zip(acc, plane)]
+        out[u::k] = [s % p for s in acc]
+    return out
+
+
+def _scale(vec, c, K):
+    """The flat residues of c times every entry of vec, c given by its residues."""
+    return _apply(vec, _mul_matrix(K, c), K.p, K.k)
+
+
 def _power(K, c, e):
     """The residues of c^e for c given by its residues, e >= 0."""
     one = (1,) + (0,) * (K.k - 1)
@@ -536,12 +615,13 @@ def _inverse(K, c):
     if K.k == 1:
         return (pow(c[0], -1, p),)
     # r0 = s0 c and r1 = s1 c modulo the modulus throughout
+    F = K._prime
     r0, r1 = list(K.modulus), _trim(list(c))
     s0, s1 = [], [1]
     while r1:
-        q, r = _polydivmod(r0, r1, p)
+        q, r = _polydivmod(r0, r1, F)
         r0, r1 = r1, r
-        s0, s1 = s1, _polysub(s0, _polymul(q, s1, p), p)
+        s0, s1 = s1, _polysub(s0, _polymul(q, s1, F), F)
     # r0 is a nonzero constant gcd, and deg s0 < k
     c_inv = pow(r0[0], -1, p)
     return tuple([c * c_inv % p for c in s0] + [0] * (K.k - len(s0)))
@@ -610,16 +690,20 @@ class _LogTables:
     The walk over g^i fills one block per a < M = (q-1)/(p-1): the norm
     h = g^M is a primitive root of F_p, so the residues of g^(a + M b) =
     h^b g^a are those of g^a times h^b, rotations of the powers of h, read
-    with 64-bit slots from one int.  The coefficients c_j lie in K or F_p.
-    The tables take 12 bytes per element of K.
+    with 64-bit slots from one int.  f is a `Polynomial` over K or F_p,
+    read through its residues.  The tables take 12 bytes per element of K.
     """
 
     __slots__ = ("field", "s", "exp", "log", "groups")
 
-    def __init__(self, K: "FieldDescriptor", coeffs):
+    def __init__(self, K: "FieldDescriptor", f):
         p, k, Q = K.p, K.k, K.order - 1
-        terms = [(sum(r * p**u for u, r in enumerate(c.coeffs)), j)
-                 for j, c in enumerate(coeffs) if not c.is_zero()]
+        # the narrow index of each coefficient, read from f's residue planes
+        res, kf = f.residues, f.field.k
+        narrow = res[::kf]
+        for u in range(1, kf):
+            narrow = [z + r * p**u for z, r in zip(narrow, res[u::kf])]
+        terms = [(z, j) for j, z in enumerate(narrow) if z]
         size = ((1 << 64 // k) - 1) // (p - 1)
         s = (min(len(terms), size) * (p - 1)).bit_length()
         M = Q // (p - 1)

@@ -61,10 +61,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, compress
-from operator import add, mul
+from operator import mul
 
-from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _inverse, _mul_matrix,
-                 _pack, _unpack, frobenius)
+from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _apply, _binary_power, _elements, _inverse,
+                 _mul_matrix, _pack, _polymul, _residues, _scale, _trim, _unpack, frobenius)
 from .poly import Polynomial
 
 
@@ -73,36 +73,6 @@ def _slot_bytes(bound: int) -> int:
     or the exact byte count above."""
     size = max(1, (bound.bit_length() + 7) // 8)
     return size if size > 8 else 1 << (size - 1).bit_length()
-
-
-def _residues(field, vec):
-    """Flat residues of a vector of ints, coefficient sequences or FieldElements."""
-    out = []
-    for c in vec:
-        out.extend(c.coeffs if c.__class__ is FieldElement and c.field is field else field.element(c).coeffs)
-    return out
-
-
-def _elements(field, vec):
-    """The FieldElement tuple of a flat residue vector."""
-    k = field.k
-    return tuple(FieldElement(field, tuple(vec[i:i + k])) for i in range(0, len(vec), k))
-
-
-def _apply(vec, rows, p, k):
-    """The k x k F_p-matrix `rows` applied to every entry of a flat residue vector."""
-    if k == 1:
-        c = rows[0][0]
-        return [a * c % p for a in vec]
-    planes = [vec[u::k] for u in range(k)]
-    out = [0] * len(vec)
-    for u, r in enumerate(rows):
-        acc = [0] * len(planes[0])
-        for c, plane in zip(r, planes):
-            if c:
-                acc = [s + c * a for s, a in zip(acc, plane)]
-        out[u::k] = [s % p for s in acc]
-    return out
 
 
 def _times_x(X, count, field, w):
@@ -114,17 +84,6 @@ def _times_x(X, count, field, w):
     top = X >> s * (k - 1) & comb * ((1 << s) - 1)
     y = ((X & comb * ((1 << s * (k - 1)) - 1)) << s) + sum(r * top << s * u for u, r in enumerate(field._reductions[0]))
     return _pack([c % p for c in _unpack(y, count * k, w)], w)
-
-
-def _poly_mul(a, b, field):
-    """Product of two polynomials over the field, each a flat residue vector
-    of its coefficients in ascending order."""
-    p, k = field.p, field.k
-    out = [0] * (len(a) + len(b) - k)
-    for i in range(0, len(a), k):
-        if any(a[i:i + k]):
-            out[i:i + len(b)] = map(add, out[i:i + len(b)], _apply(b, _mul_matrix(field, a[i:i + k]), p, k))
-    return [c % p for c in out]
 
 
 class _Rows(Sequence):
@@ -264,7 +223,7 @@ class FieldMatrix:
             tuple((a - b) % p for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)]))
 
     def scale(self, c) -> "FieldMatrix":
-        return self._apply_entrywise(_mul_matrix(self.field, self.field.element(c).coeffs))
+        return self._apply_entrywise(_mul_matrix(self.field, _residues(self.field, (c,))))
 
     def _columns_packed(self, w):
         """The packed x^b multiples of the columns, x^b col_j at index j k + b."""
@@ -381,8 +340,8 @@ class FieldMatrix:
             else:
                 sub = [tuple(chain.from_iterable(rows[i][j * k:j * k + k] for j in comp)) for i in comp]
                 factor = FieldMatrix(F, _Rows(F, sub))._krylov_charpoly()
-            chi = factor if chi is None else _poly_mul(factor, chi, F)
-        return Polynomial(F, _elements(F, chi or [1] + [0] * (k - 1)))
+            chi = factor if chi is None else _polymul(factor, chi, F)
+        return Polynomial._of(F, chi or [1] + [0] * (k - 1))
 
     def _adjacency(self):
         """The columns j != i with A[i][j] != 0, for each row i."""
@@ -426,10 +385,8 @@ class FieldMatrix:
                 # map stops at the n k coordinates of the row; the record moves up one degree
                 x = sum(map(mul, row, cols)) + (_pack(row[n * k:2 * n * k], acc.w) << entry * (n + 1))
             record = vals[n * k:]
-            while record and not any(record[-k:]):
-                del record[-k:]
-            if len(record) > k:
-                chi = _poly_mul(_apply(record, _mul_matrix(F, _inverse(F, record[-k:])), p, k), chi, F)
+            if len(_trim(record, k)) > k:
+                chi = _polymul(_scale(record, _inverse(F, record[-k:]), F), chi, F)
             acc.flat = [X & coords for X in acc.flat]
         return chi
 

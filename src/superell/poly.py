@@ -1,38 +1,40 @@
 """Dense univariate polynomials over a finite field.
 
-Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial has an empty coefficient vector.  Over F_p the arithmetic
-runs on int residues in the helpers of `ff`, with one `Polynomial` built
-from the result: products and powers through one Kronecker-substitution
-kernel, `ff._polymul`, with w-byte slots where w is the least width with
-2^(8w) > min(len a, len b) (p-1)^2, and division, gcd and the squarefree
-test through `ff._polydivmod` and `ff._polygcd`.  Over F_{p^k}, k >= 2,
-products and division run on FieldElements, products schoolbook.
+One representation for every F_q, q = p^k: a `Polynomial` stores the flat
+tuple of its coefficients' int residues, k per coefficient, ascending by
+degree and trimmed by whole coefficients, as `FieldMatrix` stores its
+rows.  Every operation runs on the int-list core of `ff`: products and
+powers on its one Kronecker product `ff._polymul` (each coefficient in
+2k - 1 slots of the least w bytes with 2^(8w) > min(n_a, n_b) k (p-1)^2,
+folded by `ff._fold`), division, gcd and the squarefree test on
+`ff._polydivmod` and `ff._polygcd`.  `FieldElement` appears only at the
+boundary: the constructor's coercion (`ff._residues`), `coeffs`, `coeff`,
+`leading`, `eval`, `lift_coeffs` and the printed form.
 """
 
 from __future__ import annotations
 
-from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _LogTables,
-                 _polydivmod, _polygcd, _polymul, lift_to)
+from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _elements, _inverse,
+                 _LogTables, _polyadd, _polydivmod, _polygcd, _polymul, _polysub, _residues, _scale, _trim,
+                 lift_to)
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "residues")
 
     def __init__(self, field: FieldDescriptor, coeffs):
-        """Build from a sequence of ints or FieldElements (ascending degree)."""
-        elems = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise FieldMismatchError("coefficient from a different field")
-                elems.append(c)
-            else:
-                elems.append(field.element(c))
-        while elems and elems[-1].is_zero():
-            elems.pop()
+        """Build from a sequence of ints, residue sequences or FieldElements
+        (ascending degree)."""
         self.field = field
-        self.coeffs = tuple(elems)
+        self.residues = tuple(_trim(_residues(field, coeffs), field.k))
+
+    @classmethod
+    def _of(cls, field, residues):
+        """The polynomial of a fresh list of flat residues in [0, p)."""
+        f = cls.__new__(cls)
+        f.field = field
+        f.residues = tuple(_trim(residues, field.k))
+        return f
 
     # -- constructors ---------------------------------------------------
 
@@ -55,23 +57,29 @@ class Polynomial:
     # -- queries ----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as FieldElements, ascending by degree."""
+        return _elements(self.field, self.residues)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.residues) // self.field.k - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.residues
 
     def leading(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.residues[-self.field.k:])
 
     def coeff(self, n: int) -> FieldElement:
         """The x^n coefficient; zero outside the support (including n < 0)."""
         if n < 0 or n > self.degree:
             return self.field.zero()
-        return self.coeffs[n]
+        k = self.field.k
+        return FieldElement(self.field, self.residues[n * k:n * k + k])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -83,49 +91,23 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else z
-            b = other.coeffs[i] if i < len(other.coeffs) else z
-            out.append(a + b)
-        return Polynomial(self.field, out)
+        return Polynomial._of(self.field, _polyadd(self.residues, other.residues, self.field))
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else z
-            b = other.coeffs[i] if i < len(other.coeffs) else z
-            out.append(a - b)
-        return Polynomial(self.field, out)
+        return Polynomial._of(self.field, _polysub(self.residues, other.residues, self.field))
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        p = self.field.p
+        return Polynomial._of(self.field, [-c % p for c in self.residues])
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
-        f = self.field
-        if f.k == 1:
-            a = _ints(self)
-            b = a if other is self else _ints(other)
-            return Polynomial(f, _polymul(a, b, f.p))
-        z = f.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if not ai.is_zero():
-                for j, bj in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + ai * bj
-        return Polynomial(f, out)
+        return Polynomial._of(self.field, _polymul(self.residues, other.residues, self.field))
 
     def scale(self, c) -> "Polynomial":
-        c = self.field.element(c)
-        return Polynomial(self.field, [a * c for a in self.coeffs])
+        F = self.field
+        return Polynomial._of(F, _scale(self.residues, _residues(F, (c,)), F))
 
     def __pow__(self, e: int):
         return poly_pow(self, e)
@@ -134,25 +116,8 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        if F.k == 1:
-            q, r = _polydivmod(_ints(self), _ints(other), F.p)
-            return Polynomial(F, q), Polynomial(F, r)
-        rem = list(self.coeffs)
-        q = [self.field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv_lead = other.leading().inverse()
-        db = other.degree
-        while len(rem) - 1 >= db and rem:
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
-            c = rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
-            q[shift] = c
-            for i, bi in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * bi
-            rem.pop()
-        return Polynomial(self.field, q), Polynomial(self.field, rem)
+        q, r = _polydivmod(self.residues, other.residues, self.field)
+        return Polynomial._of(self.field, q), Polynomial._of(self.field, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -161,12 +126,15 @@ class Polynomial:
         return divmod(self, other)[0]
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(self.field, [[n * r for r in c.coeffs] for n, c in enumerate(self.coeffs)][1:])
+        F = self.field
+        p, k = F.p, F.k
+        return Polynomial._of(F, [i // k * r % p for i, r in enumerate(self.residues)][k:])
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(self.leading().inverse())
+        F = self.field
+        return Polynomial._of(F, _scale(self.residues, _inverse(F, self.residues[-F.k:]), F))
 
     def eval(self, a: FieldElement) -> FieldElement:
         """Horner evaluation; `a` may live in an extension of the base field."""
@@ -186,11 +154,11 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.residues == other.residues
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
+        return hash((self.field.p, self.field.k, self.residues))
 
     def __repr__(self):
         from .exprparse import render_poly
@@ -198,35 +166,21 @@ class Polynomial:
         return render_poly(self)
 
 
-def _ints(f: Polynomial):
-    """The residues of f's coefficients, f over F_p."""
-    return [c.coeffs[0] for c in f.coeffs]
-
-
 def poly_pow(f: Polynomial, e: int) -> Polynomial:
     """f^e by binary exponentiation; f^0 = 1 including for f = 0."""
     if e < 0:
         raise ValueError("negative polynomial power")
     F = f.field
-    if F.k == 1:
-        return Polynomial(F, _binary_power(_ints(f), e, lambda a, b: _polymul(a, b, F.p), [1]))
-    return _binary_power(f, e, Polynomial.__mul__, Polynomial.one(F))
+    one = [1] + [0] * (F.k - 1)
+    return Polynomial._of(F, _binary_power(f.residues, e, lambda a, b: _polymul(a, b, F), one))
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
+    f._check(g)
     F = f.field
-    if F.k == 1:
-        f._check(g)
-        a = _polygcd(_ints(f), _ints(g), F.p)
-        inv_lead = pow(a[-1], -1, F.p) if a else 0
-        return Polynomial(F, [c * inv_lead for c in a])
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    a = _polygcd(f.residues, g.residues, F)
+    return Polynomial._of(F, _scale(a, _inverse(F, a[-F.k:]), F) if a else a)
 
 
 def is_squarefree(f: Polynomial) -> bool:
@@ -253,9 +207,9 @@ def roots_in_field(f: Polynomial, K: FieldDescriptor) -> set:
     """
     if K.order > ROOT_ENUMERATION_LIMIT:
         raise ValueError(f"field of order {K.order} exceeds enumeration limit")
-    if f.field != K and (f.field.k != 1 or f.field.p != K.p):
+    if f.field != K and f.field != K._prime:
         raise FieldMismatchError("K is not an extension of the coefficient field")
     if f.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
-    logs = _LogTables(K, f.coeffs)
+    logs = _LogTables(K, f)
     return {K.zero() if n == 0 else logs.element(n - 1) for n, L in enumerate(logs) if L < 0}

@@ -50,8 +50,10 @@ def cech_frobenius_oracle(X):
 
 
 def sample_squarefree(rng, field, deg):
+    p, k = field.p, field.k
     while True:
-        coeffs = [rng.randrange(field.p) for _ in range(deg)] + [rng.randrange(1, field.p)]
+        coeffs = [[rng.randrange(p) for _ in range(k)] for _ in range(deg)]
+        coeffs.append([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k - 1)])
         f = Polynomial(field, coeffs)
         if f.degree == deg and is_squarefree(f):
             return f
@@ -142,12 +144,15 @@ def full_power_matrix(X):
 
 
 # e = (p-1)/2 is odd for 3, 7, 11, 307 and even for 5, 13, 53, 101; at p = 3
-# and deg f >= 9 the genus exceeds p, so the window starts below x^0
+# and deg f >= 9 the genus exceeds p, so the window starts below x^0.  At
+# p = 3 and 5 curves over F_9 and F_25 take the two-level product too.
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 53, 101, 307])
 def test_window_matches_full_power(p):
     rng = random.Random(200 + p)
     F = make_field(p)
     curves = [sample_squarefree(rng, F, deg) for deg in (5, 6, 9, 10, 11, 12, 13, 14)]
+    if p in (3, 5):
+        curves += [sample_squarefree(rng, make_field(p, 2), deg) for deg in (5, 6, 9, 10, 13)]
     for g in (2, 3, 4):
         for coeffs in ([1] + [0] * 2 * g + [1], [0, 1] + [0] * (2 * g - 1) + [1], [1] + [0] * (2 * g + 1) + [1]):
             f = Polynomial(F, coeffs)
@@ -156,6 +161,26 @@ def test_window_matches_full_power(p):
     for f in curves:
         X = SuperellipticCurve(2, f)
         assert hasse_witt(X).matrix == full_power_matrix(X)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fp2_matrix_matches_a_fieldelement_schoolbook_power(p):
+    # f^((p-1)/2) by schoolbook products on FieldElements, read in full
+    rng = random.Random(300 + p)
+    K = make_field(p, 2)
+    for deg in (5, 6, 7, 8, 9):
+        X = SuperellipticCurve(2, sample_squarefree(rng, K, deg))
+        fpow = [K.one()]
+        for _ in range((p - 1) // 2):
+            out = [K.zero()] * (len(fpow) + deg)
+            for i, a in enumerate(fpow):
+                for j, b in enumerate(X.f.coeffs):
+                    out[i + j] = out[i + j] + a * b
+            fpow = out
+        g = genus(X)
+        rows = [[fpow[n] if 0 <= n < len(fpow) else K.zero() for n in range(p * i - 1, p * i - g - 1, -1)]
+                for i in range(1, g + 1)]
+        assert hasse_witt(X).matrix == FieldMatrix(K, rows)
 
 
 def random_matrix(rng, F, nrows, ncols):

@@ -114,6 +114,17 @@ def test_classify_refuses_hasse_witt_over_budget_at_once(capsys, curve):
     assert time.process_time() - start < 2
 
 
+def test_classify_refuses_a_degree_million_curve_within_two_seconds(capsys):
+    # the 10^6 coefficients of f stay int residues through the parse, f'
+    # and gcd(f, f'), so the budget refusal comes after well under 2 s
+    start = time.process_time()
+    code, out, err = run(capsys, ["classify", "y^2 = x^999999 + x mod 3", "--e", "1"])
+    assert (code, out) == (1, "")
+    assert err == ("error: Hasse-Witt work estimate 250000000000 (deg f (p-1)/2 coefficients + g^2 entries) "
+                   "exceeds the budget 524288\n")
+    assert time.process_time() - start < 2
+
+
 @pytest.mark.parametrize("curve, e", [
     ("y^2 = x^7 + 3*x + 1 mod 31", "1,2"),
     ("y^2 = x^5 - x mod 5", "1"),  # superspecial: the F_25 count made for the verdict

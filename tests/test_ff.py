@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from superell.ff import (
     FieldMismatchError,
@@ -12,6 +15,7 @@ from superell.ff import (
     _mul_matrix,
     _pack,
     _primitive_element,
+    _smallest_irreducible,
     _times,
     _unpack,
     frobenius,
@@ -212,7 +216,7 @@ def test_log_tables_evaluate_like_horner(p, k):
             f = Polynomial(K, [K.element([rng.randrange(p) for _ in range(k)]) for _ in range(n)] + [K.one()])
         else:
             f = Polynomial(Fp, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
-        tables = _LogTables(K, f.coeffs)
+        tables = _LogTables(K, f)
         xs = [K.zero()] + [tables.element(i) for i in range(K.order - 1)]
         assert set(xs) == set(K.elements())  # g is primitive
         for x, L in zip(xs, tables):
@@ -227,7 +231,7 @@ def test_log_tables_add_wide_sums_in_groups(p, k, n):
     # whose sums are reduced mod p before the lookup
     K = make_field(p, k)
     f = Polynomial(make_field(p), [1, 0] + [1] * (n - 1))
-    tables = _LogTables(K, f.coeffs)
+    tables = _LogTables(K, f)
     assert len(tables.groups) == 2
     logs = list(tables)
     assert tables.element(logs[0]) == K.one()  # f(0)
@@ -280,3 +284,21 @@ def plain_primitive_element(K):
 def test_primitive_element_is_the_first_generator_in_element_order(p, k):
     K = make_field(p, k)
     assert _primitive_element(K) == plain_primitive_element(K)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pinned_modulus_is_the_least_irreducible_by_sympy(p, k):
+    # candidates (c_0, ..., c_(k-1)) in tuple order, constant term most
+    # significant; sympy reads x^k + ... + c_0 in descending order
+    def irreducible(low):
+        return gf_irreducible_p([ZZ(1)] + [ZZ(c) for c in reversed(low)], p, ZZ)
+
+    modulus = _smallest_irreducible(p, k)
+    assert len(modulus) == k + 1 and modulus[-1] == 1
+    assert irreducible(modulus[:-1])
+    for low in itertools.product(range(p), repeat=k):
+        if low == modulus[:-1]:
+            break
+        assert not irreducible(low)
+    assert make_field(p, k).modulus == modulus

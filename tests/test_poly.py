@@ -4,8 +4,10 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow, gf_sqf_p, gf_strip
 
+from superell import ff
 from superell.ff import _kronecker_bytes, _polymul, make_field
 from superell.ff import FieldMismatchError
+from superell.linalg import FieldMatrix
 from superell.poly import Polynomial, is_squarefree, poly_gcd, poly_pow, roots_in_field
 
 KERNEL_PRIMES = [2, 3, 1009, 1000003]
@@ -178,13 +180,14 @@ def test_eval_in_extension():
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_polymul_matches_schoolbook_and_sympy(p):
     rng = random.Random(p)
+    F = make_field(p)
     for _ in range(40):
         a = [rng.randrange(p) for _ in range(rng.randrange(0, 30))]
         b = [rng.randrange(p) for _ in range(rng.randrange(0, 30))]
         want = schoolbook_ints(a, b, p)
-        assert _polymul(a, b, p) == want
+        assert _polymul(a, b, F) == want
         assert want == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
-        assert _polymul(a, a, p) == schoolbook_ints(a, a, p)  # squaring packs once
+        assert _polymul(a, a, F) == schoolbook_ints(a, a, p)  # squaring packs once
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -192,9 +195,10 @@ def test_polymul_matches_schoolbook_and_sympy(p):
 def test_polymul_at_the_width_bound(p, n, m):
     # all coefficients p - 1: the middle slots reach min(n, m) (p-1)^2, the
     # bound the slot width must exceed
+    F = make_field(p)
     a, b = [p - 1] * n, [p - 1] * m
-    assert _polymul(a, b, p) == schoolbook_ints(a, b, p)
-    assert _polymul(a, a, p) == schoolbook_ints(a, a, p)
+    assert _polymul(a, b, F) == schoolbook_ints(a, b, p)
+    assert _polymul(a, a, F) == schoolbook_ints(a, a, p)
 
 
 # (p, n, w): n-coefficient factors give the exact slot width w, the least
@@ -206,11 +210,12 @@ EXACT_WIDTHS = [(53, 60, 3), (1009, 60, 4), (65537, 40, 5), (1048573, 40, 6), (1
 @pytest.mark.parametrize("p, n, w", EXACT_WIDTHS)
 def test_polymul_at_exact_widths_matches_sympy(p, n, w):
     rng = random.Random(n * p)
+    F = make_field(p)
     for a, b in [([p - 1] * n, [p - 1] * (n + 3)),
                  ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(2 * n)])]:
-        assert _kronecker_bytes(a, b, p)[1] == w
-        assert _polymul(a, b, p) == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
-        assert _polymul(a, a, p) == from_gf(gf_mul(to_gf(a), to_gf(a), p, ZZ))
+        assert _kronecker_bytes(a, b, F)[1] == w
+        assert _polymul(a, b, F) == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
+        assert _polymul(a, a, F) == from_gf(gf_mul(to_gf(a), to_gf(a), p, ZZ))
 
 
 def test_kronecker_square_keeps_the_exact_width():
@@ -218,9 +223,9 @@ def test_kronecker_square_keeps_the_exact_width():
     # bytes, not the 8 of the next array width.  For a = (p-1, ..., p-1),
     # (p-1)^2 = 1 mod p, so slot n of a^2 is min(n + 1, 2N - 1 - n) mod p.
     p, N = 1009, 20000
-    a = [p - 1] * N
-    assert _kronecker_bytes(a, a, p)[1] == 5
-    assert _polymul(a, a, p) == [min(n + 1, 2 * N - 1 - n) % p for n in range(2 * N - 1)]
+    F, a = make_field(p), [p - 1] * N
+    assert _kronecker_bytes(a, a, F)[1] == 5
+    assert _polymul(a, a, F) == [min(n + 1, 2 * N - 1 - n) % p for n in range(2 * N - 1)]
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -269,8 +274,8 @@ def test_euclid_over_fp_matches_sympy(p):
     for _ in range(40):
         a, b, c = rand(0, 12), rand(1, 8), rand(1, 5)
         check_euclid_against_sympy(F, a, b)
-        check_euclid_against_sympy(F, _polymul(a, c, p), _polymul(b, c, p))  # a shared factor
-        check_euclid_against_sympy(F, _polymul(b, _polymul(c, c, p), p), a)  # a square factor
+        check_euclid_against_sympy(F, _polymul(a, c, F), _polymul(b, c, F))  # a shared factor
+        check_euclid_against_sympy(F, _polymul(b, _polymul(c, c, F), F), a)  # a square factor
         lead = rng.randrange(2, p) if p > 2 else 1
         check_euclid_against_sympy(F, a, b + [lead])  # divisor with a non-unit leading coefficient
     for const in ([1], [p - 1]):
@@ -324,3 +329,147 @@ def test_euclid_over_fp2_properties(p, k):
     prod = linear[0] * linear[1] * linear[2] * linear[3]
     assert is_squarefree(prod)
     assert not is_squarefree(prod * linear[2])
+
+
+# -- every F_q against a FieldElement reference -------------------------------
+# The schoolbook product and long division on FieldElements that Polynomial
+# ran over F_{p^k} before it stored flat residues, kept as the reference.
+
+EXTENSIONS = [(3, 2), (5, 2), (3, 3), (3, 4), (7, 3)]  # F_9, F_25, F_27, F_81, F_343
+
+
+def ref_mul(f, g):
+    F = f.field
+    if f.is_zero() or g.is_zero():
+        return Polynomial.zero(F)
+    out = [F.zero()] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        if not a.is_zero():
+            for j, b in enumerate(g.coeffs):
+                out[i + j] = out[i + j] + a * b
+    return Polynomial(F, out)
+
+
+def ref_pow(f, e):
+    out = Polynomial.one(f.field)
+    for _ in range(e):
+        out = ref_mul(out, f)
+    return out
+
+
+def ref_divmod(f, g):
+    F = f.field
+    rem = list(f.coeffs)
+    q = [F.zero()] * max(len(rem) - g.degree, 0)
+    inv_lead = g.leading().inverse()
+    while len(rem) - 1 >= g.degree and rem:
+        if rem[-1].is_zero():
+            rem.pop()
+            continue
+        c = rem[-1] * inv_lead
+        shift = len(rem) - 1 - g.degree
+        q[shift] = c
+        for i, b in enumerate(g.coeffs):
+            rem[shift + i] = rem[shift + i] - c * b
+        rem.pop()
+    return Polynomial(F, q), Polynomial(F, rem)
+
+
+def ref_monic(f):
+    if f.is_zero():
+        return f
+    inv = f.leading().inverse()
+    return Polynomial(f.field, [c * inv for c in f.coeffs])
+
+
+def ref_gcd(f, g):
+    while not g.is_zero():
+        f, g = g, ref_divmod(f, g)[1]
+    return ref_monic(f)
+
+
+def ref_derivative(f):
+    F = f.field
+    return Polynomial(F, [F.element(n) * c for n, c in enumerate(f.coeffs)][1:])
+
+
+def random_poly(rng, F, n):
+    return Polynomial(F, [[rng.randrange(F.p) for _ in range(F.k)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("p, k", EXTENSIONS)
+def test_products_and_powers_over_fpk_match_the_reference(p, k):
+    rng = random.Random(10 * p + k)
+    F = make_field(p, k)
+    for _ in range(12):
+        f, g = random_poly(rng, F, rng.randrange(0, 12)), random_poly(rng, F, rng.randrange(0, 12))
+        assert f * g == ref_mul(f, g)
+        assert f * f == ref_mul(f, f)
+        for e in (0, 1, 2, 3, 7):
+            assert poly_pow(f, e) == ref_pow(f, e)
+    big = random_poly(rng, F, 60)
+    assert big * big == ref_mul(big, big)
+
+
+@pytest.mark.parametrize("p, k", EXTENSIONS)
+def test_euclid_derivative_and_monic_over_fpk_match_the_reference(p, k):
+    rng = random.Random(20 * p + k)
+    F = make_field(p, k)
+    for _ in range(15):
+        a, b, c = (random_poly(rng, F, rng.randrange(lo, hi)) for lo, hi in ((0, 12), (1, 7), (1, 4)))
+        if not b.is_zero():
+            assert divmod(a, b) == ref_divmod(a, b)
+        assert poly_gcd(a, b) == ref_gcd(a, b)
+        assert poly_gcd(a * c, b * c) == ref_gcd(ref_mul(a, c), ref_mul(b, c))
+        assert a.derivative() == ref_derivative(a)
+        assert a.monic() == ref_monic(a)
+        zeros = (F.zero(),) * 12
+        A, B = a.coeffs + zeros, b.coeffs + zeros
+        assert a + b == Polynomial(F, [x + y for x, y in zip(A, B)])
+        assert a - b == Polynomial(F, [x - y for x, y in zip(A, B)])
+        assert -a == Polynomial(F, [-x for x in a.coeffs])
+        t = F.element([rng.randrange(p) for _ in range(k)])
+        assert a.scale(t) == Polynomial(F, [x * t for x in a.coeffs])
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3), (7, 3), (3, 4), (5, 4)])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 9), (33, 40)])
+def test_fpk_product_at_the_width_bound(p, k, n, m):
+    # every residue p - 1: the middle slot of each coefficient sums
+    # min(n, m) k products (p-1)^2, the bound the slot width must exceed
+    F = make_field(p, k)
+    f, g = Polynomial(F, [[p - 1] * k] * n), Polynomial(F, [[p - 1] * k] * m)
+    assert f * g == ref_mul(f, g)
+    assert f * f == ref_mul(f, f)
+
+
+@pytest.mark.parametrize("p, k, n, w", [(3, 2, 31, 1), (3, 2, 32, 2), (3, 4, 15, 1), (3, 4, 16, 2),
+                                        (5, 3, 5, 1), (5, 3, 6, 2)])
+def test_fpk_slot_width_is_exact(p, k, n, w):
+    # n k (p-1)^2 sits just below or at 2^(8w'), w' the width below w
+    F = make_field(p, k)
+    a = [p - 1] * (n * k)
+    assert _kronecker_bytes(a, a, F)[1] == w
+    f = Polynomial(F, [[p - 1] * k] * n)
+    assert f * f == ref_mul(f, f)
+
+
+def test_residues_are_the_one_coercion_boundary(monkeypatch):
+    F, G = make_field(5, 2), make_field(5, 3)
+    f = Polynomial(F, [3, [1, 2], F.gen(), 0, 0])
+    assert f.residues == (3, 0, 1, 2, 0, 1) and f.degree == 2
+    assert f.coeffs == (F.element(3), F.element([1, 2]), F.gen())
+    assert (f.coeff(1), f.coeff(7), f.leading()) == (F.element([1, 2]), F.zero(), F.gen())
+    for bad in ([G.one()], [make_field(5).one()]):
+        with pytest.raises(FieldMismatchError):
+            Polynomial(F, bad)
+    with pytest.raises(ValueError):
+        Polynomial(F, [[1, 2, 3]])
+    # ints become residues without a FieldElement, here and in FieldMatrix
+    built = []
+    init = ff.FieldElement.__init__
+    monkeypatch.setattr(ff.FieldElement, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    g = Polynomial(F, list(range(40)))
+    FieldMatrix(F, [[1, 2, 3], [4, 5, 6]])
+    assert g * g == poly_pow(g, 2) and divmod(g, f)[1].degree < 2
+    assert built == []
