@@ -105,21 +105,8 @@ def cmd_classify(args) -> int:
         status = f"  ({pc.status})" if pc.status else ""
         lines.append(f"points over F_{X.p}^{pc.e}: {pc.count}{status}")
     if X.m == 2:
-        hw = cartier.hasse_witt(X)
-        p_rank = cartier.classify_p_rank(hw)
-        # the consistency flag reads the F_{p^2} count only for a
-        # superspecial verdict: count it then, unless --e already has
-        count_e2 = dict(zip(e_list, counts)).get(2)
-        if count_e2 is None and p_rank.verdict == "superspecial":
-            count_e2 = curvemod.count_points(X, 2)
-        consistent = cartier.superspecial_consistent(p_rank, count_e2)
-        if X.field.k == 1:
-            # Manin's congruence, asserted like the Weil interval:
-            # #X(F_{p^e}) = 1 - tr(A^e) (mod p) for every count taken
-            for pc in {pc.e: pc for pc in [*counts, count_e2] if pc}.values():
-                P = hw.matrix.power(pc.e)
-                if (pc.count - 1 + sum(P[i, i].lift() for i in range(hw.genus))) % X.p:
-                    raise AssertionError(f"#X(F_{X.p}^{pc.e}) violates the Manin congruence")
+        check = cartier.crosscheck_superspecial(X, counts)
+        hw, p_rank = check.hasse_witt, check.p_rank
         results["hasse_witt"] = {
             "basis": list(hw.basis_labels),
             "entries": _matrix_json(hw.matrix),
@@ -128,15 +115,15 @@ def cmd_classify(args) -> int:
             "stable_rank": p_rank.stable_rank,
             "verdict": p_rank.verdict,
         }
-        results["superspecial_consistent"] = consistent
+        results["superspecial_consistent"] = check.consistent
         provenance += [
             "frobenius-coefficient-matrix",
             "semilinear-stable-rank",
             "superspecial-count-consistency",
         ]
         lines.append(f"p-rank: {p_rank.stable_rank} of {g}  -> {p_rank.verdict}")
-        lines.append(f"count consistency with verdict: {consistent}")
-        if not consistent:
+        lines.append(f"count consistency with verdict: {check.consistent}")
+        if not check.consistent:
             exit_code = EXIT_INFEASIBLE
     report_obj = _report("classify", {"curve": args.curve, "e": e_list}, results, provenance)
     _emit(report_obj, args.json, lines)
@@ -286,7 +273,10 @@ def cmd_hurwitz(args) -> int:
         ram_points=ram,
         top_genus=args.gx,
     )
-    result = ramify.riemann_hurwitz(prof, args.solve)
+    try:
+        result = ramify.riemann_hurwitz(prof, args.solve)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
     results = {
         "solve": args.solve,
         "value": _jnum(result.value),
@@ -391,10 +381,12 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ff import FieldDescriptor, FieldElement, _LogTables, lift_to, make_field
+from .ff import FieldDescriptor, FieldElement, _LogTables, _power, lift_to, make_field
 from .poly import Polynomial, is_squarefree
 
 HYPERELLIPTIC = "hyperelliptic"
@@ -159,11 +159,12 @@ def count_infinite_points(X: SuperellipticCurve, K: FieldDescriptor) -> int:
     They number #{u in K : u^delta = lc(f)} with delta = gcd(m, deg f):
     by the same power-character test as the affine fibers, gcd(delta,
     q-1) roots when lc(f) is a delta-th power in F_q^x and none otherwise.
+    The test lc^((q-1)/n) = 1 runs on residues in lc's own field F, whose
+    multiplicative order q_F - 1 reduces the exponent.
     """
-    q = K.order
+    F, q = X.field, K.order
     n = math.gcd(X.m, X.f.degree, q - 1)
-    lc = lift_to(X.f.leading(), K)
-    return n if lc ** ((q - 1) // n) == K.one() else 0
+    return n if _power(F, X.f.residues[-F.k:], (q - 1) // n % (F.order - 1)) == F.one().coeffs else 0
 
 
 def _value_logs(X: SuperellipticCurve, e: int):

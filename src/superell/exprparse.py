@@ -14,6 +14,8 @@ token set.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from itertools import compress
 
 from .curve import SuperellipticCurve
@@ -30,53 +32,28 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
 
 
-class _Token:
-    __slots__ = ("kind", "value", "offset")
+_Token = namedtuple("_Token", "kind value offset")
 
-    def __init__(self, kind, value, offset):
-        self.kind = kind
-        self.value = value
-        self.offset = offset
-
-    def __repr__(self):
-        return f"{self.kind}({self.value!r}@{self.offset})"
-
-
-_SINGLE = {"+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET", "=": "EQ"}
+# the token kind of each fixed spelling
+_KINDS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "^": "CARET", "=": "EQ", "x": "X", "y": "Y", "mod": "MOD"}
+# one match per token: an integer, a word or any other non-space
+# character; whitespace between matches is skipped
+_SCAN = re.compile(r"(\d+)|([^\W\d_]+)|(\S)")
 
 
 def _tokenize(src: str):
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", int(src[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            word = src[i:j]
-            if word in ("x", "y", "mod"):
-                tokens.append(_Token(word.upper(), word, i))
-                i = j
-                continue
-            raise ParseError(f"unknown word {word!r}", i, expected=("x", "y", "mod"))
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", None, n))
+    for mo in _SCAN.finditer(src):
+        text, i = mo.group(), mo.start()
+        if text in _KINDS:
+            tokens.append(_Token(_KINDS[text], text, i))
+        elif mo.lastindex == 1:
+            tokens.append(_Token("INT", int(text), i))
+        elif mo.lastindex == 2:
+            raise ParseError(f"unknown word {text!r}", i, expected=("x", "y", "mod"))
+        else:
+            raise ParseError(f"unexpected character {text!r}", i)
+    tokens.append(_Token("END", None, len(src)))
     return tokens
 
 
@@ -178,10 +155,9 @@ def parse_curve(src: str) -> SuperellipticCurve:
     m = mtok.value
     parser.take("EQ")
     terms = parser.poly_terms()
-    modtok = parser.take("MOD")
+    parser.take("MOD")
     ptok = parser.take("INT")
     parser.take("END")
-    del modtok
     try:
         field = make_field(ptok.value, 1)
     except NonPrimeModulusError as exc:

@@ -204,15 +204,16 @@ def _polygcd(a, b, K):
 
 
 def _binary_power(base, e, mul, one):
-    """base^e under the product mul, skipping the last, unused squaring."""
-    result = one
+    """base^e under the product mul, with no product by one and no last,
+    unused squaring: base^1 is base itself."""
+    result = None
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         e >>= 1
         if e:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def _polypowmod(base, e, mod, K):

@@ -550,7 +550,7 @@ def spin(field: FieldDescriptor, seeds, mats):
         row = acc.insert(_pack(s, acc.w))
         if row is not None:
             queue.append(row)
-    while queue:
+    while queue and len(acc) < n:
         v = queue.popleft()
         for c in cols:
             row = acc.insert(sum(map(mul, v, c)))

@@ -172,7 +172,7 @@ def poly_pow(f: Polynomial, e: int) -> Polynomial:
         raise ValueError("negative polynomial power")
     F = f.field
     one = [1] + [0] * (F.k - 1)
-    return Polynomial._of(F, _binary_power(f.residues, e, lambda a, b: _polymul(a, b, F), one))
+    return Polynomial._of(F, _binary_power(list(f.residues), e, lambda a, b: _polymul(a, b, F), one))
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:

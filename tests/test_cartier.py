@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from math import comb
@@ -280,6 +281,55 @@ def test_crosscheck_flags_twisted_form():
     assert report.count_e2.count == 26
     assert report.count_e2.status == "neither"
     assert not report.consistent
+
+
+def test_crosscheck_reads_the_counts_it_is_given(monkeypatch):
+    from superell import curve as curvemod
+    taken = []
+    count = curvemod.count_points
+    monkeypatch.setattr(curvemod, "count_points", lambda X, e: taken.append(e) or count(X, e))
+    ordinary, superspecial = hyper([0, -1, 0, 0, 0, 1], 3), hyper([0, -1, 0, 0, 0, 1], 5)
+    # an ordinary verdict does not read the F_9 count
+    report = crosscheck_superspecial(ordinary, [count(ordinary, 1)])
+    assert (taken, report.count_e2, report.consistent) == ([], None, True)
+    assert report.hasse_witt == hasse_witt(ordinary)
+    # a given F_{p^2} count is reused; a superspecial verdict takes it otherwise
+    e2 = count(superspecial, 2)
+    assert crosscheck_superspecial(superspecial, [e2]).count_e2 is e2 and taken == []
+    assert crosscheck_superspecial(superspecial, []).count_e2 == e2 and taken == [2]
+    assert crosscheck_superspecial(ordinary).count_e2 == count(ordinary, 2) and taken == [2, 2]
+
+
+@pytest.mark.parametrize("coeffs, p", [([1, 3, 0, 0, 0, 0, 0, 1], 31), ([0, -1, 0, 0, 0, 1], 5)])
+def test_crosscheck_asserts_the_manin_congruence(coeffs, p):
+    X = hyper(coeffs, p)
+    counts = [count_points(X, e) for e in (1, 2, 3)]
+    assert crosscheck_superspecial(X, counts).consistent
+    for bad in range(3):
+        wrong = [dataclasses.replace(pc, count=pc.count + (i == bad)) for i, pc in enumerate(counts)]
+        with pytest.raises(AssertionError, match=f"F_{p}\\^{bad + 1}. violates the Manin"):
+            crosscheck_superspecial(X, wrong)
+
+
+@pytest.mark.parametrize("coeffs", [[2, 1], [2, 0, 1]])
+def test_genus_zero_has_the_empty_frobenius_matrix(coeffs):
+    X = hyper(coeffs, 19)
+    report = crosscheck_superspecial(X, [count_points(X, e) for e in (1, 2)])
+    assert (report.hasse_witt.matrix.nrows, report.hasse_witt.basis_labels) == (0, ())
+    assert report.p_rank == PRankClass(stable_rank=0, genus=0, verdict="ordinary")
+    assert report.consistent
+
+
+def test_crosscheck_traces_reuse_the_last_power(monkeypatch):
+    X = hyper([0, 1, 1, 0, 0, 1], 7)  # A = [1 3; 0 3]
+    counts = [count_points(X, e) for e in (1, 2, 3, 5)]
+    products = []
+    matmul = FieldMatrix.__matmul__
+    monkeypatch.setattr(FieldMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    crosscheck_superspecial(X, counts)
+    # A is invertible, so the p-rank takes no product; then A^2 = A A,
+    # A^3 = A^2 A and A^5 = A^3 (A A): four products in all
+    assert len(products) == 4
 
 
 def test_ordinary_is_never_maximal_or_minimal():

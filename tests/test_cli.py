@@ -289,6 +289,13 @@ def test_hurwitz_malformed_ram_exits_1(capsys):
     assert "usage error" in err
 
 
+def test_hurwitz_vanishing_right_side_exits_1(capsys):
+    # |G| is unconstrained when 2 g_Y - 2 + sum d/e = 0: an error line, not a traceback
+    code, out, err = run(capsys, ["hurwitz", "--gy", "1", "--order", "2", "--gx", "1", "--solve", "group_order"])
+    assert (code, out) == (1, "")
+    assert err == "error: right side vanishes; |G| is unconstrained\n"
+
+
 def test_unknown_search_spec_exits_1(capsys):
     code, _, err = run(capsys, ["search", "--spec", "bogus"])
     assert code == 1

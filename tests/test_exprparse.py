@@ -39,6 +39,26 @@ def test_unknown_word_rejected():
         parse_poly("x + z", F5)
 
 
+@pytest.mark.parametrize("src, message, offset, expected", [
+    ("y^2 = x^² mod 5", "unknown word '²'", 8, ("x", "y", "mod")),  # a numeral, not a decimal digit
+    ("y^2 = x^5 + xy mod 7", "unknown word 'xy'", 12, ("x", "y", "mod")),
+    ("y^2 = x^3 modulo 7", "unknown word 'modulo'", 10, ("x", "y", "mod")),
+    ("y^2 = x^5 - x mod 7 # note", "unexpected character '#'", 20, ()),
+    ("y^2 = x_1 mod 7", "unexpected character '_'", 7, ()),
+])
+def test_tokenizer_errors_name_the_offset(src, message, offset, expected):
+    with pytest.raises(ParseError) as ei:
+        parse_curve(src)
+    assert str(ei.value) == f"{message} at offset {offset}"
+    assert (ei.value.offset, ei.value.expected) == (offset, expected)
+
+
+def test_tokens_split_at_kind_changes():
+    # "3x" and "mod5" need no space; unicode spaces and decimal digits count
+    assert parse_curve("y^2=3x^5+2x mod5") == parse_curve("y ^ 2 = 3 * x ^ 5 + 2 * x mod 5")
+    assert parse_curve("y^2\u00a0=\tx^٣ - x\nmod 5") == parse_curve("y^2 = x^3 - x mod 5")
+
+
 def test_exponent_limit():
     F5 = make_field(5)
     with pytest.raises(ParseError):

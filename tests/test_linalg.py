@@ -212,6 +212,21 @@ def test_spin_reaches_whole_space():
     assert len(spin(F5, [e0], [shift])) == n
 
 
+def test_spin_stops_once_the_basis_spans_everything(monkeypatch):
+    # e0 under the shift and its inverse: a spin that drained its queue
+    # would reduce both images of all n basis rows, 1 + 2 n inserts
+    F5 = make_field(5)
+    n = 6
+    shift = FieldMatrix(F5, [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+    back = FieldMatrix(F5, [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
+    inserts = []
+    insert = _EchelonAccumulator.insert
+    monkeypatch.setattr(_EchelonAccumulator, "insert", lambda acc, x: inserts.append(1) or insert(acc, x))
+    e0 = [1] + [0] * (n - 1)
+    assert len(spin(F5, [e0], [shift, back])) == n
+    assert len(inserts) < 1 + 2 * n
+
+
 def test_spin_respects_invariant_block():
     F5 = make_field(5)
     # block upper-triangular: span(e0, e1) is invariant
