@@ -9,7 +9,7 @@ odd e) is left packed; its g^2 coefficients x^(p*i - j) alone are cut from
 the product's bytes and folded (`ff._fold`), over F_p and F_{p^k} alike.
 The p-rank is the rank of the g-fold semilinear product
 A * A^(p) * ... * A^(p^(g-1)), where ^(p) raises entries to the p-th
-power; over F_p it is A^g, taken by binary powering.  An invertible A
+power, taken by twisted doubling in O(log g) products.  An invertible A
 skips the product, since Frobenius twists and products of invertible
 matrices stay invertible.
 
@@ -90,19 +90,22 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
 
 
 def semilinear_stable_matrix(M: FieldMatrix, g: int) -> FieldMatrix:
-    """A * A^(p) * ... * A^(p^(g-1)) with entrywise Frobenius twists.
+    """P_g = A * A^(p) * ... * A^(p^(g-1)) with entrywise Frobenius twists.
 
-    Over F_p every twist is A itself, so the product is A^g by binary
-    powering, O(log g) products instead of g - 1.
+    Twisted doubling: pairs multiply as (P_s, s) (P_t, t) = (P_s
+    sigma^s(P_t), s + t), sigma^s being `frobenius_entrywise` s mod k
+    times, so binary powering of (A, 1) takes O(log g) products, not
+    g - 1.  Over F_p it is A^g.  P_0 is the identity.
     """
-    if M.field.k == 1:
-        return M.power(g)
-    prod = M
-    twisted = M
-    for _ in range(1, g):
-        twisted = twisted.frobenius_entrywise()
-        prod = prod @ twisted
-    return prod
+    k = M.field.k
+
+    def mul(a, b):
+        (P, s), (Q, t) = a, b
+        for _ in range(s % k):
+            Q = Q.frobenius_entrywise()
+        return P @ Q, s + t
+
+    return _binary_power((M, 1), g, mul, (FieldMatrix.identity(M.field, M.nrows), 0))[0]
 
 
 def classify_p_rank(H: HasseWittMatrix) -> PRankClass:

@@ -169,9 +169,9 @@ def count_infinite_points(X: SuperellipticCurve, K: FieldDescriptor) -> int:
 
 def _value_logs(X: SuperellipticCurve, e: int):
     """K = F_{p^e} and the discrete-log tables that evaluate f on all of K."""
-    q = X.p**e
-    if q > POINT_ENUMERATION_LIMIT:
-        raise ValueError(f"field of order {q} exceeds enumeration limit")
+    # p >= 2, so e >= the limit's bit length is refused before p^e is formed
+    if e >= POINT_ENUMERATION_LIMIT.bit_length() or X.p**e > POINT_ENUMERATION_LIMIT:
+        raise ValueError(f"field of order {X.p}^{e} exceeds enumeration limit")
     K = _extension_for(X, e)
     return K, _LogTables(K, X.f)
 
@@ -384,8 +384,4 @@ def _normalize_point(point, K: FieldDescriptor):
     if is_infinite(point):
         return point
     x, y = point
-    if x.field != K:
-        x = lift_to(x, K)
-    if y.field != K:
-        y = lift_to(y, K)
-    return (x, y)
+    return (lift_to(x, K), lift_to(y, K))

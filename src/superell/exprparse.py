@@ -48,7 +48,10 @@ def _tokenize(src: str):
         if text in _KINDS:
             tokens.append(_Token(_KINDS[text], text, i))
         elif mo.lastindex == 1:
-            tokens.append(_Token("INT", int(text), i))
+            try:
+                tokens.append(_Token("INT", int(text), i))
+            except ValueError:  # over CPython's limit on digits converted
+                raise ParseError(f"integer literal of {len(text)} digits is too long", i) from None
         elif mo.lastindex == 2:
             raise ParseError(f"unknown word {text!r}", i, expected=("x", "y", "mod"))
         else:

@@ -14,7 +14,8 @@ crosses it without becoming one.  The int-list core that `poly`, `linalg`,
 `cartier` and `canrep` share is one residue packer (`_pack`/`_unpack`, at
 C speed for every width up to 8 bytes), one polynomial product for every
 F_q, Euclid on flat residue lists (`_polydivmod`, `_polygcd`), and
-products, powers, inverses and norms of single elements.
+products, powers, inverses and norms of single elements, the last two
+from one elimination (`_eliminate`) on the k x k matrix of y -> c y.
 
 The product `_polymul` is Kronecker substitution in the two-level form of
 Harvey (2009).  Coefficient i's k residues take slots i (2k - 1) + u,
@@ -475,18 +476,14 @@ class FieldElement:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        p = f.p
-        if f.k == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        return FieldElement(f, tuple(_times(_mul_matrix(f, self.coeffs), other.coeffs, p)))
+        return FieldElement(f, tuple(_times(_mul_matrix(f, self.coeffs), other.coeffs, f.p)))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return _binary_power(self, e, FieldElement.__mul__, self.field.one())
+        c = self.coeffs if e >= 0 else _inverse(self.field, self.coeffs)
+        return FieldElement(self.field, _power(self.field, c, abs(e)))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by extended Euclid on coefficient polys."""
+        """Multiplicative inverse; ZeroDivisionError for zero."""
         return FieldElement(self.field, _inverse(self.field, self.coeffs))
 
     def __truediv__(self, other):
@@ -513,9 +510,7 @@ class FieldElement:
 
 def frobenius(a: FieldElement) -> FieldElement:
     """The p-power Frobenius a -> a^p; identity on the prime field."""
-    if a.field.k == 1:
-        return a
-    return a ** a.field.p
+    return FieldElement(a.field, _power(a.field, a.coeffs, a.field.p))
 
 
 def lift_to(a: FieldElement, K: FieldDescriptor) -> FieldElement:
@@ -534,7 +529,7 @@ def lift_to(a: FieldElement, K: FieldDescriptor) -> FieldElement:
 
 # ---------------------------------------------------------------------------
 # The boundary between FieldElement and flat residues, and products,
-# powers and inverses on residues.
+# powers, inverses and norms on residues.
 
 
 def _residues(field, values):
@@ -607,50 +602,55 @@ def _power(K, c, e):
     return tuple(_binary_power(c, e, lambda a, b: _times(_mul_matrix(K, a), b, K.p), one))
 
 
-def _inverse(K, c):
-    """The residues of 1/c for c != 0 given by its residues: pow(c, -1, p)
-    over F_p, extended Euclid against the modulus for k >= 2."""
-    p = K.p
-    if not any(c):
-        raise ZeroDivisionError("inversion of zero field element")
-    if K.k == 1:
-        return (pow(c[0], -1, p),)
-    # r0 = s0 c and r1 = s1 c modulo the modulus throughout
-    F = K._prime
-    r0, r1 = list(K.modulus), _trim(list(c))
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _polydivmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, _polysub(s0, _polymul(q, s1, F), F)
-    # r0 is a nonzero constant gcd, and deg s0 < k
-    c_inv = pow(r0[0], -1, p)
-    return tuple([c * c_inv % p for c in s0] + [0] * (K.k - len(s0)))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation on discrete logarithms (Huber 1990, "Some comments on Zech's
-# logarithms"): every value of a polynomial over F_q from two int tables.
-
-
-def _norm(K, c):
-    """The norm N(c) = c^((q-1)/(p-1)) in F_p of c given by its residues:
-    the determinant of y -> c y, by elimination on its k x k matrix."""
-    p, rows, det = K.p, [list(r) for r in _mul_matrix(K, c)], 1
+def _eliminate(K, rows):
+    """Forward elimination on the k x k matrix in the first k columns of
+    `rows` (lists, reduced in place with any further columns): its
+    determinant and its pivots' inverses, or (0, None) when singular."""
+    p, det, invs = K.p, 1, []
     for j, row in enumerate(rows):
         i = next((i for i in range(j, K.k) if rows[i][j]), None)
         if i is None:
-            return 0
+            return 0, None
         if i != j:
             rows[j], rows[i], det = rows[i], row, -det
         pivot = rows[j]
         det = det * pivot[j] % p
         inv = pow(pivot[j], -1, p)
+        invs.append(inv)
         for r in rows[j + 1:]:
             if r[j]:
                 f = r[j] * inv
                 r[j:] = [(a - f * b) % p for a, b in zip(r[j:], pivot[j:])]
-    return det
+    return det, invs
+
+
+def _norm(K, c):
+    """The norm N(c) = c^((q-1)/(p-1)) in F_p of c given by its residues:
+    the determinant of y -> c y, by elimination on its k x k matrix."""
+    return _eliminate(K, [list(r) for r in _mul_matrix(K, c)])[0]
+
+
+def _inverse(K, c):
+    """The residues of 1/c for c != 0 given by its residues: pow(c, -1, p)
+    over F_p; for k >= 2 the solution y of c y = 1, by elimination on the
+    matrix of y -> c y beside the residues of 1, then back-substitution."""
+    p, k = K.p, K.k
+    if not any(c):
+        raise ZeroDivisionError("inversion of zero field element")
+    if k == 1:
+        return (pow(c[0], -1, p),)
+    rows = [list(r) + [int(i == 0)] for i, r in enumerate(_mul_matrix(K, c))]
+    invs = _eliminate(K, rows)[1]
+    y = [0] * k
+    for j in reversed(range(k)):
+        r = rows[j]
+        y[j] = (r[k] - sum(map(operator.mul, r[j + 1:k], y[j + 1:]))) * invs[j] % p
+    return tuple(y)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation on discrete logarithms (Huber 1990, "Some comments on Zech's
+# logarithms"): every value of a polynomial over F_q from two int tables.
 
 
 def _primitive_element(K):

@@ -266,8 +266,6 @@ class FieldMatrix:
 
     def frobenius_entrywise(self) -> "FieldMatrix":
         F = self.field
-        if F.k == 1:
-            return self
         # a -> a^p is F_p-linear: column b of its matrix is frobenius(x^b)
         return self._apply_entrywise(list(zip(*(frobenius(F.element([0] * b + [1])).coeffs for b in range(F.k)))))
 

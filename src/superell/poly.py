@@ -178,9 +178,7 @@ def poly_pow(f: Polynomial, e: int) -> Polynomial:
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm."""
     f._check(g)
-    F = f.field
-    a = _polygcd(f.residues, g.residues, F)
-    return Polynomial._of(F, _scale(a, _inverse(F, a[-F.k:]), F) if a else a)
+    return Polynomial._of(f.field, _polygcd(f.residues, g.residues, f.field)).monic()
 
 
 def is_squarefree(f: Polynomial) -> bool:

@@ -358,18 +358,40 @@ def test_ekedahl_hyperelliptic_genus_bound():
                     assert genus(X) <= (p - 1) // 2
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_stable_matrix_over_fp_is_the_g_fold_product(p):
-    # over F_p every Frobenius twist is A itself: binary powering against
-    # the plain loop of g - 1 products, on singular and nilpotent matrices too
-    rng = random.Random(p)
-    F = make_field(p)
+# q -> (p, k): the prime fields first, then F_25, F_49, F_27 and F_16
+STABLE_FIELDS = {5: (5, 1), 7: (7, 1), 25: (5, 2), 49: (7, 2), 27: (3, 3), 16: (2, 4)}
+
+
+@pytest.mark.parametrize("q", STABLE_FIELDS)
+def test_stable_matrix_over_fp_is_the_g_fold_product(q):
+    # twisted doubling against the plain loop of g - 1 products with one
+    # more Frobenius twist each, for g = 0..12 (the empty product is the
+    # identity), on singular and nilpotent matrices too; over F_p every
+    # twist is A itself
+    p, k = STABLE_FIELDS[q]
+    rng = random.Random(q)
+    F = make_field(p, k)
+
+    def entry(low=0):
+        return [rng.randrange(low, p)] + [rng.randrange(p) for _ in range(k - 1)]
+
     for n in (1, 2, 3, 5):
-        mats = [FieldMatrix(F, [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(n)]
+        mats = [FieldMatrix(F, [[entry() if rng.random() < 0.5 else 0 for _ in range(n)]
                                 for _ in range(n)]) for _ in range(3)]
-        mats.append(FieldMatrix(F, [[rng.randrange(1, p) if j > i else 0 for j in range(n)] for i in range(n)]))
+        mats.append(FieldMatrix(F, [[entry(1) if j > i else 0 for j in range(n)] for i in range(n)]))
         for M in mats:
-            loop = M
-            for g in range(1, 10):
-                assert semilinear_stable_matrix(M, g) == loop
-                loop = loop @ M
+            prod, twisted = FieldMatrix.identity(F, n), M
+            for g in range(13):
+                assert semilinear_stable_matrix(M, g) == prod
+                prod = prod @ twisted
+                twisted = twisted.frobenius_entrywise()
+
+
+def test_stable_rank_at_genus_300_over_f49_takes_seconds():
+    # y^2 = x^601 + x over F_(7^2): the g - 1 = 299 twisted products took
+    # 35 s of CPU; twisted doubling takes O(log g) of them
+    start = time.process_time()
+    X = SuperellipticCurve(2, Polynomial(make_field(7, 2), [0, 1] + [0] * 599 + [1]))
+    verdict = classify_p_rank(hasse_witt(X))
+    assert verdict == PRankClass(stable_rank=64, genus=300, verdict="intermediate")
+    assert time.process_time() - start < 5

@@ -92,6 +92,16 @@ def test_classify_large_prime_modulus_exits_1_at_once(capsys):
     assert code == 1 and "cannot certify" in err
 
 
+@pytest.mark.parametrize("e", ["30000000", "1,1000", "25"])
+def test_classify_huge_e_exits_1_at_once(capsys, e):
+    # p^e is never formed: 5^30000000 took 39 s of CPU, then failed to print
+    start = time.process_time()
+    code, out, err = run(capsys, ["classify", "y^2 = x^5 - x mod 5", "--e", e])
+    assert (code, out) == (1, "")
+    assert "enumeration limit" in err and f"5^{e.split(',')[-1]}" in err
+    assert time.process_time() - start < 1
+
+
 def test_classify_stable_rank_at_genus_500_takes_seconds(capsys):
     # a singular Hasse-Witt matrix at genus 500: its stable rank is the rank
     # of A^500, which the g-fold product took 30 s of CPU to reach

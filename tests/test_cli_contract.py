@@ -72,7 +72,8 @@ CURVES = st.one_of(
     st.text(max_size=24).map(small_numbers),
 )
 E_LISTS = st.one_of(st.lists(st.integers(1, 2), min_size=1, max_size=3).map(lambda es: ",".join(map(str, es))),
-                    st.sampled_from(["0", "", "1,,2", "a", "-1", "2,0", " 1"]))
+                    st.sampled_from(["0", "", "1,,2", "a", "-1", "2,0", " 1",
+                                     "25", "1,1000", "30000000"]))
 
 
 @CONTRACT

@@ -45,6 +45,11 @@ def test_unknown_word_rejected():
     ("y^2 = x^3 modulo 7", "unknown word 'modulo'", 10, ("x", "y", "mod")),
     ("y^2 = x^5 - x mod 7 # note", "unexpected character '#'", 20, ()),
     ("y^2 = x_1 mod 7", "unexpected character '_'", 7, ()),
+    # over CPython's 4300-digit limit on int(), as a coefficient and as the modulus
+    pytest.param("y^2 = x + " + "1" * 5000 + " mod 5", "integer literal of 5000 digits is too long", 10, (),
+                 id="5000-digit coefficient"),
+    pytest.param("y^2 = x^5 - x mod " + "7" * 4301, "integer literal of 4301 digits is too long", 18, (),
+                 id="4301-digit modulus"),
 ])
 def test_tokenizer_errors_name_the_offset(src, message, offset, expected):
     with pytest.raises(ParseError) as ei:

@@ -13,7 +13,9 @@ from superell.ff import (
     NonPrimeModulusError,
     _inverse,
     _mul_matrix,
+    _norm,
     _pack,
+    _power,
     _primitive_element,
     _smallest_irreducible,
     _times,
@@ -240,11 +242,15 @@ def test_log_tables_add_wide_sums_in_groups(p, k, n):
         assert v.is_zero() if logs[i + 1] < 0 else tables.element(logs[i + 1]) == v
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 3), (7, 2), (1009, 1)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 3), (7, 2), (1009, 1), (3, 4), (5, 3)])
 def test_residue_inverse_times_c_is_one(p, k):
+    # the inverse and the norm share one elimination of y -> c y; the norm
+    # is also c^((q-1)/(p-1)), whose residues lie in F_p
     K = make_field(p, k)
     one = list(K.one().coeffs)
+    M = (K.order - 1) // (p - 1)
     for c in K.elements():
+        assert _power(K, c.coeffs, M) == (_norm(K, c.coeffs),) + (0,) * (k - 1)
         if c.is_zero():
             with pytest.raises(ZeroDivisionError):
                 _inverse(K, c.coeffs)
