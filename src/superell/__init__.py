@@ -13,6 +13,7 @@ from .ff import (
     FieldElement,
     FieldMismatchError,
     NonPrimeModulusError,
+    WorkBudgetError,
     frobenius,
     make_field,
 )

@@ -26,7 +26,7 @@ from . import curve
 # count_points stays bound here for callers that read cartier.count_points;
 # the cross-check itself calls it through the curve module
 from .curve import SuperellipticCurve, UnsupportedModelError, count_points, genus  # noqa: F401
-from .ff import _binary_power, _fold, _kronecker_bytes, _polymul, _slots
+from .ff import _binary_power, _fold, _kronecker_bytes, _polymul, _slots, check_budget
 from .linalg import FieldMatrix, _Rows
 
 
@@ -59,22 +59,26 @@ class PRankClass:
 # (Python 3.11), y^2 = x^41 + x + 1 takes 0.05 s at p = 1009 (20k
 # coefficients), 3 s at p = 10007 (205k), 9 s at p = 20011 (410k) and 27 s
 # at p = 40009 (820k): the cost grows like n^1.6.  Above the limit the call
-# is refused before any arithmetic.
+# is refused before any arithmetic.  The stable product, about g^3 log g,
+# needs no budget of its own: the g^2 term already caps g at 724.
 HASSE_WITT_WORK_LIMIT = 2**19
+
+
+def hasse_witt_estimate(X: SuperellipticCurve):
+    """The work estimate of `hasse_witt`, as the arguments of `check_budget`."""
+    return ("Hasse-Witt", X.f.degree * ((X.p - 1) // 2) + genus(X) ** 2,
+            "deg f (p-1)/2 coefficients + g^2 entries", HASSE_WITT_WORK_LIMIT)
 
 
 def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
     """The g x g Frobenius matrix of a hyperelliptic curve, p odd.
 
-    Raises ValueError when the work estimate exceeds HASSE_WITT_WORK_LIMIT.
+    Raises WorkBudgetError when the work estimate exceeds HASSE_WITT_WORK_LIMIT.
     """
     if X.m != 2:
         raise UnsupportedModelError("Hasse-Witt recipe implemented for y^2 = f(x)")
+    check_budget(*hasse_witt_estimate(X))
     g, p, e = genus(X), X.p, (X.p - 1) // 2
-    work = X.f.degree * e + g * g
-    if work > HASSE_WITT_WORK_LIMIT:
-        raise ValueError(f"Hasse-Witt work estimate {work} (deg f (p-1)/2 coefficients + g^2 entries) "
-                         f"exceeds the budget {HASSE_WITT_WORK_LIMIT}")
     F, f = X.field, X.f.residues
     k = F.k
     h = _binary_power(f, e // 2, lambda a, b: _polymul(a, b, F), [1] + [0] * (k - 1))

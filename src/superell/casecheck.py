@@ -35,32 +35,30 @@ class SearchSpec:
 
 _GRID_DC = [(1, 0), (1, 1), (1, 2), (2, 0)]  # (d, c) with d >= 1, 2d + c <= 4
 
+# the tame searches: name -> (predicate, N(n, c, d)), np+1 | N with N > 0
+_TAME = {
+    "tame-outside": ("np+1 | n(n+c) + 2d + c + 1", lambda n, c, d: n * (n + c) + 2 * d + c + 1),
+    "tame-inside": ("np+1 | 16(n-1)d(c+d+1)", lambda n, c, d: 16 * (n - 1) * d * (c + d + 1)),
+}
+
 
 def run_search(spec_id: str, p_max: int = 200) -> SearchSpec:
     """One of the builtin divisibility searches, exhausted up to p_max."""
-    if spec_id == "tame-outside":
+    if spec_id in _TAME:
+        predicate, N = _TAME[spec_id]
         spec = SearchSpec(
             name=spec_id,
             ranges={"n": (2, 4), "d>=1, 2d+c<=4": _GRID_DC, "p": (2, p_max)},
-            predicate="np+1 | n(n+c) + 2d + c + 1",
+            predicate=predicate,
         )
-        for p in primes_up_to(p_max):
-            for n in range(2, 5):
-                for d, c in _GRID_DC:
-                    if (n * (n + c) + 2 * d + c + 1) % (n * p + 1) == 0:
-                        spec.solutions.append({"p": p, "n": n, "c": c, "d": d})
-        return spec
-    if spec_id == "tame-inside":
-        spec = SearchSpec(
-            name=spec_id,
-            ranges={"n": (2, 4), "d>=1, 2d+c<=4": _GRID_DC, "p": (2, p_max)},
-            predicate="np+1 | 16(n-1)d(c+d+1)",
-        )
-        for p in primes_up_to(p_max):
-            for n in range(2, 5):
-                for d, c in _GRID_DC:
-                    if (16 * (n - 1) * d * (c + d + 1)) % (n * p + 1) == 0:
-                        spec.solutions.append({"p": p, "n": n, "c": c, "d": d})
+        grid = [(n, c, d, N(n, c, d)) for n in range(2, 5) for d, c in _GRID_DC]
+        # np+1 | N > 0 forces np+1 <= N, so no prime past every (N-1)//n solves
+        # (7 for tame-outside, 71 for tame-inside): the sieve stops there
+        bound = max((v - 1) // n for n, _, _, v in grid)
+        for p in primes_up_to(min(p_max, bound)):
+            for n, c, d, v in grid:
+                if v % (n * p + 1) == 0:
+                    spec.solutions.append({"p": p, "n": n, "c": c, "d": d})
         return spec
     if spec_id == "mersenne":
         pairs = [(0, 1), (1, 1), (2, 1), (0, 2)]

@@ -15,9 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import canrep, casecheck, cartier, curve as curvemod, ramify
-from .exprparse import ParseError, parse_curve, render_poly
-from .ff import NonPrimeModulusError
-from .curve import InvalidCurveError, UnsupportedModelError
+from .exprparse import parse_curve, render_poly
+from .ff import check_budget, log_table_estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,6 +80,11 @@ def _parse_e(spec: str):
 def cmd_classify(args) -> int:
     X = parse_curve(args.curve)
     e_list = _parse_e(args.e)
+    # every estimate is checked before the first count
+    for e in e_list:
+        check_budget(*log_table_estimate(X.p, e))
+    if X.m == 2:
+        check_budget(*cartier.hasse_witt_estimate(X))
     g = curvemod.genus(X)
     counts = [curvemod.count_points(X, e) for e in e_list]
     results = {
@@ -391,8 +395,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, InvalidCurveError, NonPrimeModulusError,
-            UnsupportedModelError, ValueError) as exc:
+    except ValueError as exc:  # ParseError, InvalidCurveError, WorkBudgetError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except canrep.MeatAxeInconclusive as exc:

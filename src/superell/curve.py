@@ -28,16 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ff import FieldDescriptor, FieldElement, _LogTables, _power, lift_to, make_field
+from .ff import (FieldDescriptor, FieldElement, _LogTables, _power, check_budget, lift_to, log_table_estimate,
+                 make_field)
 from .poly import Polynomial, is_squarefree
 
 HYPERELLIPTIC = "hyperelliptic"
 ASQ = "artin-schreier-quotient"
 GENERAL = "general"
-
-# the discrete-log tables of a field take 12 bytes per element: 12 MB at
-# F_(1009^2), about 200 MB at this guard
-POINT_ENUMERATION_LIMIT = 2**24
 
 INFINITY = ("inf", 0)
 INFINITY_CONJ = ("inf", 1)
@@ -168,10 +165,9 @@ def count_infinite_points(X: SuperellipticCurve, K: FieldDescriptor) -> int:
 
 
 def _value_logs(X: SuperellipticCurve, e: int):
-    """K = F_{p^e} and the discrete-log tables that evaluate f on all of K."""
-    # p >= 2, so e >= the limit's bit length is refused before p^e is formed
-    if e >= POINT_ENUMERATION_LIMIT.bit_length() or X.p**e > POINT_ENUMERATION_LIMIT:
-        raise ValueError(f"field of order {X.p}^{e} exceeds enumeration limit")
+    """K = F_{p^e} and the discrete-log tables that evaluate f on all of K,
+    refused by their estimate before K is built."""
+    check_budget(*log_table_estimate(X.p, e))
     K = _extension_for(X, e)
     return K, _LogTables(K, X.f)
 

@@ -48,6 +48,19 @@ class NonPrimeModulusError(ValueError):
     """Requested characteristic is not a prime number."""
 
 
+class WorkBudgetError(ValueError):
+    """A work estimate over its budget, refused before any of the work."""
+
+
+def check_budget(what, estimate, unit, budget):
+    """Raise WorkBudgetError when the work estimate exceeds the budget.  A
+    pair (b, e), b >= 2, stands for b^e >= 2^e, compared without forming it."""
+    b, e = estimate if isinstance(estimate, tuple) else (estimate, 1)
+    if e >= budget.bit_length() or b**e > budget:
+        shown = f"{b}^{e}" if isinstance(estimate, tuple) else b
+        raise WorkBudgetError(f"{what} work estimate {shown} ({unit}) exceeds the budget {budget}")
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over F_q as flat residue lists (ascending degree, k residues
 # per coefficient, K the field).  `poly` builds the public polynomial type
@@ -335,15 +348,16 @@ class FieldDescriptor:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         self.p = p
         self.k = k
-        # the prime field, on which the modulus arithmetic runs
-        self._prime = self if k == 1 else FieldDescriptor(p, 1)
+        # the prime field of an extension, on which the modulus arithmetic
+        # runs; None for F_p itself, which a self-reference would make a cycle
+        self._prime = None if k == 1 else FieldDescriptor(p, 1)
         if k == 1:
             if modulus is not None:
                 raise ValueError("prime field carries no modulus polynomial")
             self.modulus = None
+        elif modulus is None:
+            self.modulus = _smallest_irreducible(self._prime, k)
         else:
-            if modulus is None:
-                modulus = _smallest_irreducible(p, k)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
@@ -353,16 +367,8 @@ class FieldDescriptor:
         # x^(k+s) reduced mod the modulus, s < k - 1, for product reduction
         self._reductions = None
         if k > 1:
-            red = []
-            cur = [(-c) % p for c in self.modulus[:-1]]  # x^k
-            red.append(tuple(cur))
-            for _ in range(k - 2):
-                cur = [0] + cur
-                top = cur.pop()
-                if top:
-                    cur = [(ci + top * ri) % p for ci, ri in zip(cur, red[0])]
-                red.append(tuple(cur))
-            self._reductions = red
+            rems = (_polyrem([0] * (k + s) + [1], self.modulus, self._prime) for s in range(k - 1))
+            self._reductions = [tuple(r + [0] * (k - len(r))) for r in rems]
 
     @property
     def order(self) -> int:
@@ -408,14 +414,14 @@ class FieldDescriptor:
         return f"F({self.p}^{self.k}; mod={list(self.modulus)})"
 
 
-def _smallest_irreducible(p: int, k: int):
-    """Lexicographically smallest monic irreducible of degree k over F_p.
+def _smallest_irreducible(F: FieldDescriptor, k: int):
+    """Lexicographically smallest monic irreducible of degree k over the
+    prime field F.
 
     Candidate vectors (c_0, ..., c_{k-1}) are scanned in ascending tuple
     order, constant term most significant.
     """
-    F = FieldDescriptor(p, 1)
-    for low in itertools.product(range(p), repeat=k):
+    for low in itertools.product(range(F.p), repeat=k):
         cand = list(low) + [1]
         if _is_irreducible(cand, F):
             return tuple(cand)
@@ -673,6 +679,18 @@ def _primitive_element(K):
 
 
 _RUN = 256  # elements per int sum in _LogTables.__iter__, which bounds its memory
+
+# The tables take 12 bytes per element of F_q: 12 MB at F_(1009^2), where a
+# count takes 1.3 s, and about 200 MB at this budget.  A small p costs more
+# per element: F_(2^16) 2.1 s, F_(2^20) 44 s (2-CPU x86_64, Python 3.11).
+LOG_TABLE_BUDGET = 2**24
+
+
+def log_table_estimate(p: int, k: int):
+    """The work estimate of `_LogTables` on F_(p^k), as the arguments of
+    `check_budget`: its p^k elements, compared without forming p^k, so a
+    caller refuses a huge field before it builds the descriptor."""
+    return "discrete-log table", (p, k), "elements of F_q, 12 bytes each; enumeration limit", LOG_TABLE_BUDGET
 
 
 class _LogTables:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _binary_power, _elements, _inverse,
                  _LogTables, _polyadd, _polydivmod, _polygcd, _polymul, _polysub, _residues, _scale, _trim,
-                 lift_to)
+                 check_budget, lift_to, log_table_estimate)
 
 
 class Polynomial:
@@ -192,19 +192,14 @@ def is_squarefree(f: Polynomial) -> bool:
     return poly_gcd(f, d).degree == 0
 
 
-# roots_in_field's tables take 12 bytes per element, about 200 MB at 2^24
-ROOT_ENUMERATION_LIMIT = 2**24
-
-
 def roots_in_field(f: Polynomial, K: FieldDescriptor) -> set:
     """Exact root set of f in K: the x = 0 or g^i where the discrete-log
     tables of K (`ff._LogTables`) find f(x) = 0.
 
     K must equal the coefficient field or be an extension of a prime
-    coefficient field.  Guarded by an enumeration bound on |K|.
+    coefficient field.  Guarded by the tables' estimate, |K| elements.
     """
-    if K.order > ROOT_ENUMERATION_LIMIT:
-        raise ValueError(f"field of order {K.order} exceeds enumeration limit")
+    check_budget(*log_table_estimate(K.p, K.k))
     if f.field != K and f.field != K._prime:
         raise FieldMismatchError("K is not an extension of the coefficient field")
     if f.is_zero():

@@ -15,11 +15,13 @@ from superell.canrep import (
     _monomials,
     generator_matrix,
     hermitian_plane_module,
+    module_estimate,
     sl2_generators,
+    _sample_algebra_element,
     zeta_of_order,
 )
 from superell.curve import CurveAutomorphism, InvalidCurveError
-from superell.ff import lift_to, make_field
+from superell.ff import WorkBudgetError, check_budget, lift_to, make_field
 from superell.linalg import FieldMatrix, is_invariant_subspace
 from superell.poly import Polynomial, poly_pow
 
@@ -355,6 +357,35 @@ def test_commutant_dimension_cross_check():
 def test_commutant_guard():
     with pytest.raises(ValueError):
         commutant_dimension(list(canonical_module(13, 14).generators))
+
+
+def test_module_budget_admits_hermitian_p_47_and_refuses_past_dim_1448():
+    check_budget(*module_estimate(47, 48))      # dim 1081
+    check_budget(*module_estimate(2897, 2))     # dim 1448
+    for p, m in ((2903, 2), (59, 60)):          # dim 1451 and 1711, refused unbuilt
+        start = time.process_time()
+        with pytest.raises(WorkBudgetError, match="canonical module work estimate .* exceeds the budget"):
+            canonical_module(p, m)
+        assert time.process_time() - start < 0.5
+
+
+def test_sampled_scalars_are_those_of_the_element_list():
+    # one randrange(q) picks element i of elements() order, as the list did
+    def listed(rng, pool, elements):
+        a, b = rng.randrange(len(pool)), rng.randrange(len(pool))
+        prod = pool[a] @ pool[b]
+        if len(pool) < 24:
+            pool.append(prod)
+        c = rng.randrange(len(pool))
+        return prod + pool[c].scale(elements[rng.randrange(len(elements))])
+
+    R = canonical_module(5, 3)
+    gens, elements = list(R.generators), list(R.field.elements())
+    for seed in range(3):
+        rng, rng_listed = random.Random(seed), random.Random(seed)
+        pool, pool_listed = list(gens), list(gens)
+        for attempt in range(len(gens), len(gens) + 30):
+            assert _sample_algebra_element(rng, pool, gens, R.field, attempt) == listed(rng_listed, pool_listed, elements)
 
 
 def test_dimension_one_module():

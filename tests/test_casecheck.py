@@ -51,6 +51,20 @@ def test_search_determinism_and_monotonicity():
         assert below == small.solutions
 
 
+@pytest.mark.parametrize("p_max", [2, 7, 8, 71, 72, 5000])
+def test_tame_searches_stop_at_their_own_bound_with_the_same_answer(p_max):
+    # the brute-force loops over every prime up to p_max; the search sieves
+    # only up to 7 (tame-outside) and 71 (tame-inside)
+    lhs = {"tame-outside": lambda n, c, d: n * (n + c) + 2 * d + c + 1,
+           "tame-inside": lambda n, c, d: 16 * (n - 1) * d * (c + d + 1)}
+    for name, N in lhs.items():
+        spec = run_search(name, p_max=p_max)
+        assert spec.solutions == [{"p": p, "n": n, "c": c, "d": d}
+                                  for p in primes_up_to(p_max) for n in range(2, 5)
+                                  for d, c in [(1, 0), (1, 1), (1, 2), (2, 0)] if N(n, c, d) % (n * p + 1) == 0]
+        assert spec.ranges["p"] == (2, p_max)
+
+
 def test_search_unknown_spec():
     with pytest.raises(ValueError):
         run_search("no-such-search")

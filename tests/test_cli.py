@@ -102,6 +102,32 @@ def test_classify_huge_e_exits_1_at_once(capsys, e):
     assert time.process_time() - start < 1
 
 
+def test_classify_checks_every_estimate_before_it_counts(capsys):
+    # the Hasse-Witt estimate refuses p = 4000037 before 4 * 10^6 points are counted
+    start = time.process_time()
+    code, out, err = run(capsys, ["classify", "y^2 = x^5 - x mod 4000037", "--e", "1"])
+    assert (code, out) == (1, "")
+    assert err == ("error: Hasse-Witt work estimate 10000094 (deg f (p-1)/2 coefficients + g^2 entries) "
+                   "exceeds the budget 524288\n")
+    assert time.process_time() - start < 0.5
+
+
+def test_rep_refuses_a_huge_module_before_building_it(capsys):
+    # dim 500001: about 5 * 10^11 entries, refused before any is built
+    start = time.process_time()
+    code, out, err = run(capsys, ["rep", "--p", "1000003", "--m", "2"])
+    assert (code, out) == (1, "")
+    assert "canonical module work estimate 250001000001" in err and "exceeds the budget" in err
+    assert time.process_time() - start < 1
+
+
+def test_search_past_the_predicates_bound_takes_no_sieve(capsys):
+    start = time.process_time()
+    code, out, err = run(capsys, ["search", "--spec", "tame-inside", "--p-max", "100000000"])
+    assert code == 0 and "solution primes: [2, 5]" in out
+    assert time.process_time() - start < 1
+
+
 def test_classify_stable_rank_at_genus_500_takes_seconds(capsys):
     # a singular Hasse-Witt matrix at genus 500: its stable rank is the rank
     # of A^500, which the g-fold product took 30 s of CPU to reach

@@ -5,6 +5,11 @@ nothing, stderr holds no traceback, `--json` output validates against
 the shipped schema, and a rerun prints the same bytes.  Sizes are
 bounded so that every call finishes quickly: primes up to 50, extension
 exponents up to 2, and `rep` primes up to 13.
+
+Past those sizes a second property holds: a valid model with p up to
+2^61 - 1 and e up to 40, or an m = 2 module with p up to 10^7, either
+gets its verdict (exit 0 or 2) or is refused (exit 1) by a work
+estimate that the message names beside its budget.
 """
 
 import contextlib
@@ -14,9 +19,11 @@ import re
 from importlib import resources
 
 import jsonschema
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from superell import cli
+from superell import cli, genus, parse_curve
+from superell.cartier import HASSE_WITT_WORK_LIMIT
+from superell.ff import LOG_TABLE_BUDGET, is_prime
 
 VALIDATOR = jsonschema.Draft7Validator(
     json.loads(resources.files("superell").joinpath("report_schema.json").read_text()))
@@ -80,6 +87,66 @@ E_LISTS = st.one_of(st.lists(st.integers(1, 2), min_size=1, max_size=3).map(lamb
 @given(CURVES, st.one_of(st.none(), E_LISTS), st.booleans())
 def test_classify_contract(curve, e, as_json):
     check_contract(["classify", curve] + (["--e", e] if e is not None else []), as_json)
+
+
+BUDGET = settings(CONTRACT, max_examples=40)
+QUICK = 2**16  # field elements or Hasse-Witt coefficients that take at most about 2 s
+REFUSAL = re.compile(r"error: .+ work estimate \S+ \(.+\) exceeds the budget \d+\n")
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def check_verdict_or_refusal(argv):
+    code, out, err = call(argv)
+    assert code in (0, 2) or (code, out) == (1, "") and REFUSAL.fullmatch(err), (argv, code, err)
+
+
+def check_classify_at_any_size(m, coeffs, p, e):
+    curve = curve_text(m, coeffs, p)
+    try:
+        X = parse_curve(curve)
+    except ValueError:
+        assume(False)  # not a valid model
+    # between QUICK and the budgets the work is admitted and takes seconds to
+    # minutes (an F_(2677^2) count about 8 s), more than this file can spend
+    q = p ** max(map(int, e.split(",")))
+    hw = X.f.degree * ((p - 1) // 2) + genus(X) ** 2 if m == 2 else 0
+    assume(max(q, hw) <= QUICK or q > LOG_TABLE_BUDGET or hw > HASSE_WITT_WORK_LIMIT)
+    check_verdict_or_refusal(["classify", curve, "--e", e])
+
+
+# primes of every bit length up to 61
+ANY_PRIME = st.integers(2, 61).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)).map(next_prime)
+COEFFS = st.lists(st.integers(-60, 60), min_size=2, max_size=10)
+
+
+@BUDGET
+@given(st.sampled_from([2, 2, 2, 3, 4, 5, 6, 7, 8]), COEFFS, st.one_of(st.sampled_from(PRIMES), ANY_PRIME),
+       st.one_of(st.sampled_from(["1", "2", "1,2"]),
+                 st.lists(st.integers(1, 40), min_size=1, max_size=3).map(lambda es: ",".join(map(str, es)))))
+def test_classify_at_any_size_gives_a_verdict_or_names_its_estimate(m, coeffs, p, e):
+    check_classify_at_any_size(m, coeffs, p, e)
+
+
+@BUDGET
+@given(COEFFS, ANY_PRIME)
+def test_hyperelliptic_classify_at_any_prime_gives_a_verdict_or_names_its_estimate(coeffs, p):
+    # one extension, so the Hasse-Witt estimate is the one that refuses p
+    # from about 2^17 up to the tables' 2^24
+    check_classify_at_any_size(2, coeffs, p, "1")
+
+
+# The MeatAxe has no estimate yet: from p = 17 up to the module budget's
+# p = 2897 it takes seconds and more (11.9 s at p = 199), so those primes
+# are not drawn.
+@BUDGET
+@given(st.one_of(st.sampled_from(PRIMES[1:6]), st.integers(2898, 10**7).map(next_prime)))
+def test_rep_m2_at_any_size_gives_a_verdict_or_names_its_estimate(p):
+    check_verdict_or_refusal(["rep", "--p", str(p), "--m", "2"])
 
 
 # (p, m) with m | p + 1, or anything

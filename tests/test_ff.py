@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import itertools
 import random
 
@@ -7,7 +10,9 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
+from superell import canonical_module, cli, decide_irreducibility, hasse_witt, parse_curve
 from superell.ff import (
+    FieldDescriptor,
     FieldMismatchError,
     _LogTables,
     NonPrimeModulusError,
@@ -300,7 +305,7 @@ def test_pinned_modulus_is_the_least_irreducible_by_sympy(p, k):
     def irreducible(low):
         return gf_irreducible_p([ZZ(1)] + [ZZ(c) for c in reversed(low)], p, ZZ)
 
-    modulus = _smallest_irreducible(p, k)
+    modulus = _smallest_irreducible(make_field(p), k)
     assert len(modulus) == k + 1 and modulus[-1] == 1
     assert irreducible(modulus[:-1])
     for low in itertools.product(range(p), repeat=k):
@@ -308,3 +313,30 @@ def test_pinned_modulus_is_the_least_irreducible_by_sympy(p, k):
             break
         assert not irreducible(low)
     assert make_field(p, k).modulus == modulus
+
+
+def test_a_supplied_modulus_is_verified_and_the_pinned_one_is_not_rebuilt():
+    assert FieldDescriptor(5, 2, (2, 0, 1)).modulus == (2, 0, 1)  # x^2 + 2: -2 is no square mod 5
+    with pytest.raises(ValueError, match="reducible"):
+        FieldDescriptor(5, 2, (1, 0, 1))  # x^2 + 1 = (x - 2)(x + 2)
+    K = make_field(5, 2)
+    assert K._prime == make_field(5) and make_field(5)._prime is None
+
+
+def test_fields_and_their_callers_leave_no_reference_cycles():
+    # every descriptor is freed by its reference count, not by the cyclic collector
+    def text_classify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "y^2 = x^5 - x mod 7", "--e", "1,2"]) == 0
+
+    gc.collect()
+    gc.disable()
+    try:
+        make_field(5)
+        make_field(5, 2)
+        text_classify()
+        decide_irreducibility(canonical_module(5, 3))
+        hasse_witt(parse_curve("y^2 = x^7 + 3*x + 1 mod 31"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
