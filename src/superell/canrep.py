@@ -7,12 +7,16 @@ lifts acts by pullback; all matrices are realized over F_{p^2}, which
 contains the m-th roots of unity because m | p+1.
 
 Irreducibility is decided by a seeded MeatAxe: sample elements of the
-generated matrix algebra, locate eigenvalues by scanning the field,
-spin null vectors through the generators, and certify irreducibility
-with the dual (transposed) spin when the eigenspace is a line.  A
-one-dimensional eigenspace of an algebra element also certifies that
-the commutant is scalar, which upgrades the verdict to absolute
-irreducibility.
+generated matrix algebra, read their eigenvalues off the char poly's
+block split (a 1 x 1 block is its own eigenvalue; only the larger
+blocks are scanned over the field), spin null vectors through the
+generators, and certify irreducibility with the dual (transposed) spin
+when the eigenspace is a line.  A one-dimensional eigenspace of an
+algebra element also certifies that the commutant is scalar, which
+upgrades the verdict to absolute irreducibility.  The first samples are
+the generators, mostly diagonal or triangular, so the eigen-step reads
+what their structure gives: theta - lam I changes only the diagonal,
+and a diagonal shift's kernel is a set of unit vectors.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .curve import CurveAutomorphism, InvalidCurveError
 from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _polymul, _power, _prime_divisors, _times,
                  check_budget, is_prime, lift_to, make_field)
 from .linalg import FieldMatrix, _Rows, is_invariant_subspace, spin
-from .poly import roots_in_field
+from .poly import Polynomial, roots_in_field
 
 
 class MeatAxeInconclusive(RuntimeError):
@@ -324,16 +328,14 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
         return IrreducibilityVerdict("absolutely-irreducible", None, 1)
     rng = random.Random(seed)
     pool = list(gens)
-    identity = FieldMatrix.identity(field, dim)
     for attempt in range(budget):
         theta = _sample_algebra_element(rng, pool, gens, field, attempt)
-        chi = theta.charpoly()
         # one pass over the eigenvalues, simple roots first: a simple root
         # has nullity one, and a nullity-one eigenvalue decides the module
         # by the spin and the dual spin; larger nullspaces only probe their
         # vectors for submodules
-        for _, lam in _roots_with_multiplicity(chi):
-            shifted = theta - identity.scale(lam)
+        for _, lam in _roots_with_multiplicity(field, theta._charpoly_blocks()):
+            shifted = theta._minus_scalar(lam)
             null = shifted.nullspace()
             if len(null) == 1:
                 return _norton_decide(field, dim, shifted, null, gens)
@@ -346,20 +348,32 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
     )
 
 
-def _roots_with_multiplicity(chi):
-    """Roots of chi in its field, sorted by (multiplicity, coeffs)."""
-    roots, k = [], chi.field.k
-    coeffs = [chi.residues[i:i + k] for i in range(0, len(chi.residues), k)]
-    for lam in roots_in_field(chi, chi.field):
-        # divide lam's factors out, so later roots deflate a shorter quotient
-        rows = _mul_matrix(chi.field, lam.coeffs)
-        mult, (quotient, value) = 0, _deflate(coeffs, rows, chi.field.p)
-        while not any(value):
-            mult, coeffs = mult + 1, quotient
-            quotient, value = _deflate(coeffs, rows, chi.field.p)
-        roots.append((mult, lam))
-    roots.sort(key=lambda t: (t[0], t[1].coeffs))
-    return roots
+def _roots_with_multiplicity(field, blocks):
+    """Roots in field of the product of the monic factors `blocks` (flat
+    residue lists, as `FieldMatrix._charpoly_blocks` gives them), sorted by
+    (multiplicity, coeffs).
+
+    A linear factor x - c gives the root c at once; a larger one is scanned
+    for roots and deflated on its own.  Multiplicities add up across the
+    factors.
+    """
+    p, k = field.p, field.k
+    mults = {}
+    for block in blocks:
+        if len(block) == 2 * k:
+            lam = tuple(-c % p for c in block[:k])
+            mults[lam] = mults.get(lam, 0) + 1
+            continue
+        coeffs = [block[i:i + k] for i in range(0, len(block), k)]
+        for lam in roots_in_field(Polynomial._of(field, list(block)), field):
+            # divide lam's factors out, so later roots deflate a shorter quotient
+            rows = _mul_matrix(field, lam.coeffs)
+            mult, (quotient, value) = 0, _deflate(coeffs, rows, p)
+            while not any(value):
+                mult, coeffs = mult + 1, quotient
+                quotient, value = _deflate(coeffs, rows, p)
+            mults[lam.coeffs] = mults.get(lam.coeffs, 0) + mult
+    return [(mult, FieldElement(field, lam)) for mult, lam in sorted((m, lam) for lam, m in mults.items())]
 
 
 def _deflate(coeffs, rows, p):

@@ -47,13 +47,21 @@ basis by pivot, which gives the reduced row echelon form; that form is
 unique, so the results do not depend on the order of insertion.  `spin`,
 `is_invariant_subspace` and `charpoly` grow and query the basis directly.
 
-`charpoly` first splits the matrix by the strongly connected components of
-its nonzero pattern (Tarjan 1972), which make it block triangular up to a
-permutation: a 1 x 1 block gives its linear factor at once, and only the
+`_charpoly_blocks` splits the matrix by the strongly connected components
+of its nonzero pattern (Tarjan 1972), which make it block triangular up to
+a permutation: a 1 x 1 block gives its linear factor at once, and only the
 larger blocks run the Krylov route on the accumulator.  The MeatAxe's
 diagonal, triangular and block-diagonal generators thus take one Krylov
-run per block, not one per eigenvector.  Inverses of leading entries are
-taken on residues (`ff._inverse`).
+run per block, not one per eigenvector.  `charpoly` multiplies the
+factors; the MeatAxe takes them unmultiplied and reads a linear factor's
+root without a scan.  Inverses of leading entries are taken on residues
+(`ff._inverse`).
+
+`nullspace` of a square matrix whose off-diagonal entries are all zero
+returns the unit vectors e_i at its zero diagonal entries, in ascending
+i, without elimination: that is the basis the reduced row echelon form
+gives, since its pivots are the nonzero diagonal entries.  Any nonzero
+off-diagonal entry sends the matrix through the accumulator.
 """
 
 from __future__ import annotations
@@ -285,8 +293,13 @@ class FieldMatrix:
 
     def nullspace(self):
         """Deterministic basis of the right kernel, as coordinate tuples."""
+        p, k, n = self.field.p, self.field.k, self.ncols
+        if self.nrows == n and not any(any(row[:i * k]) or any(row[i * k + k:]) for i, row in enumerate(self._rows)):
+            # diagonal: the unit vectors at the zero diagonal entries, which
+            # is the basis the reduced row echelon form gives
+            return _Rows(self.field, [(0,) * (i * k) + (1,) + (0,) * ((n - i) * k - 1)
+                                      for i, row in enumerate(self._rows) if not any(row[i * k:i * k + k])])
         rows, pivots = self._echelon()
-        p, k = self.field.p, self.field.k
         pivot_set = set(pivots)
         basis = []
         for fc in range(self.ncols):
@@ -310,8 +323,17 @@ class FieldMatrix:
         return FieldMatrix(F, _Rows(F, [row[n * F.k:] for row in rows]))
 
     def charpoly(self) -> Polynomial:
-        """Characteristic polynomial det(xI - A), split by strongly connected
-        components.
+        """Characteristic polynomial det(xI - A): the product of the
+        factors `_charpoly_blocks` finds."""
+        F = self.field
+        chi = [1] + [0] * (F.k - 1)
+        for factor in self._charpoly_blocks():
+            chi = _polymul(factor, chi, F)
+        return Polynomial._of(F, chi)
+
+    def _charpoly_blocks(self):
+        """The factors of det(xI - A) by strongly connected components, as
+        lists of flat residues of monic polynomials.
 
         Read as a digraph with i -> j when A[i][j] != 0 (i != j), A has
         strongly connected components C_1, ..., C_r (Tarjan 1972); listing
@@ -328,18 +350,27 @@ class FieldMatrix:
         F, n = self.field, self.nrows
         p, k = F.p, F.k
         rows = self._rows
-        chi = None
+        blocks = []
         for comp in _strong_components(self._adjacency()):
             if len(comp) == 1:
                 i = comp[0]
-                factor = [-c % p for c in rows[i][i * k:i * k + k]] + [1] + [0] * (k - 1)
+                blocks.append([-c % p for c in rows[i][i * k:i * k + k]] + [1] + [0] * (k - 1))
             elif len(comp) == n:
-                factor = self._krylov_charpoly()
+                blocks.append(self._krylov_charpoly())
             else:
                 sub = [tuple(chain.from_iterable(rows[i][j * k:j * k + k] for j in comp)) for i in comp]
-                factor = FieldMatrix(F, _Rows(F, sub))._krylov_charpoly()
-            chi = factor if chi is None else _polymul(factor, chi, F)
-        return Polynomial._of(F, chi or [1] + [0] * (k - 1))
+                blocks.append(FieldMatrix(F, _Rows(F, sub))._krylov_charpoly())
+        return blocks
+
+    def _minus_scalar(self, c) -> "FieldMatrix":
+        """A - c I for a square A and c in its field: only the diagonal
+        entries change."""
+        F = self.field
+        p, k = F.p, F.k
+        c = _residues(F, (c,))
+        return FieldMatrix(F, _Rows(F, [
+            row[:i * k] + tuple((a - b) % p for a, b in zip(row[i * k:i * k + k], c)) + row[i * k + k:]
+            for i, row in enumerate(self._rows)]))
 
     def _adjacency(self):
         """The columns j != i with A[i][j] != 0, for each row i."""

@@ -23,7 +23,7 @@ from superell.canrep import (
 from superell.curve import CurveAutomorphism, InvalidCurveError
 from superell.ff import WorkBudgetError, check_budget, lift_to, make_field
 from superell.linalg import FieldMatrix, is_invariant_subspace
-from superell.poly import Polynomial, poly_pow
+from superell.poly import Polynomial, poly_pow, roots_in_field
 
 
 def all_divisor_params(p_max):
@@ -325,7 +325,43 @@ def test_roots_with_multiplicity_from_known_factors():
         # times a factor with no root in F_25: x^2 - c for a non-square c
         chi = chi * (x * x - Polynomial(K, [nonsquare]))
         want = sorted(zip(mults, roots), key=lambda t: (t[0], t[1].coeffs))
-        assert _roots_with_multiplicity(chi) == want
+        assert _roots_with_multiplicity(K, [list(chi.residues)]) == want
+
+
+def test_roots_with_multiplicity_over_split_blocks_equals_the_product():
+    # linear blocks, Krylov blocks sharing their roots with them, repeated
+    # blocks and a rootless block: the split gives the roots of the product
+    rng = random.Random(11)
+    for p, k in ((5, 1), (5, 2), (3, 2), (7, 2)):
+        K = make_field(p, k)
+        elements = list(K.elements())
+        x = Polynomial.x(K)
+        rootless = next(x * x - Polynomial(K, [c]) for c in elements
+                        if not roots_in_field(x * x - Polynomial(K, [c]), K))
+        for _ in range(20):
+            lams = rng.sample(elements, 3)
+            linear = [x - Polynomial(K, [rng.choice(lams)]) for _ in range(rng.randrange(0, 4))]
+            krylov = [poly_pow(x - Polynomial(K, [rng.choice(lams)]), rng.randrange(1, 3))
+                      * (x - Polynomial(K, [rng.choice(lams)])) for _ in range(rng.randrange(1, 3))]
+            blocks = linear + krylov + [rootless] * rng.randrange(0, 2)
+            rng.shuffle(blocks)
+            product = Polynomial.one(K)
+            for b in blocks:
+                product = product * b
+            split = _roots_with_multiplicity(K, [list(b.residues) for b in blocks])
+            assert split == _roots_with_multiplicity(K, [list(product.residues)])
+            assert sum(n for n, _ in split) == product.degree - 2 * blocks.count(rootless)
+        assert _roots_with_multiplicity(K, [list(rootless.residues)]) == []
+
+
+def test_roots_with_multiplicity_of_sampled_char_poly_blocks():
+    # the blocks of sampled algebra elements against their whole char poly
+    R = canonical_module(7, 4)
+    rng, pool, gens = random.Random(5), list(R.generators), list(R.generators)
+    for attempt in range(12):
+        theta = _sample_algebra_element(rng, pool, gens, R.field, attempt)
+        whole = _roots_with_multiplicity(R.field, [list(theta.charpoly().residues)])
+        assert _roots_with_multiplicity(R.field, theta._charpoly_blocks()) == whole
 
 
 def test_hermitian_meataxe_at_p_17_takes_seconds():

@@ -520,3 +520,67 @@ def test_all_p_minus_1_elimination_at_the_slot_width_boundary(p, k):
         assert ones.charpoly() == Polynomial.monomial(K, 1, n - 1) * Polynomial(K, [-trace, 1])
         e0 = [(K.one() if i == 0 else K.zero()) for i in range(n)]
         assert len(spin(K, [e0], [ones, U])) == n
+
+
+def diagonal_cases(field, rng):
+    """(matrix, diagonal?) pairs: diagonal matrices with some zero, all-zero
+    and identity diagonals, and the same with one off-diagonal entry set."""
+    elements = list(field.elements())
+    nonzero = elements[1:]
+    out = []
+    for n in (1, 2, 3, 5, 8):
+        diagonals = [[rng.choice(elements) for _ in range(n)] for _ in range(3)]
+        diagonals += [[field.zero()] * n, [field.one()] * n, [rng.choice(nonzero) for _ in range(n)]]
+        for diagonal in diagonals:
+            rows = [[diagonal[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
+            out.append((FieldMatrix(field, rows), True))
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                rows[i][j] = rng.choice(nonzero)
+                out.append((FieldMatrix(field, rows), False))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (13, 1), (3, 2), (5, 2), (11, 2), (2, 3)])
+def test_diagonal_nullspace_matches_gauss_jordan(p, k, monkeypatch):
+    # a diagonal kernel is read off without elimination; one off-diagonal
+    # entry sends the matrix back through _echelon
+    K = make_field(p, k)
+    rng = random.Random(10 * p + k)
+    eliminations = []
+    echelon = FieldMatrix._echelon
+    monkeypatch.setattr(FieldMatrix, "_echelon", lambda self: eliminations.append(self) or echelon(self))
+    for M, diagonal in diagonal_cases(K, rng):
+        eliminations.clear()
+        null = M.nullspace()
+        assert null == reference_nullspace(K, M.rows, M.ncols)
+        assert M.transpose().nullspace() == reference_nullspace(K, M.transpose().rows, M.ncols)
+        assert eliminations == ([] if diagonal else [M, M.transpose()])
+    assert FieldMatrix(K, []).nullspace() == []
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_diagonal_shift_equals_subtracting_a_scaled_identity(p, k):
+    K = make_field(p, k)
+    rng = random.Random(p + 100 * k)
+    elements = list(K.elements())
+    for n in (1, 2, 4, 7):
+        M = FieldMatrix(K, [[rng.choice(elements) for _ in range(n)] for _ in range(n)])
+        for lam in [K.zero(), K.one()] + rng.sample(elements, min(5, len(elements))):
+            assert M._minus_scalar(lam) == M - FieldMatrix.identity(K, n).scale(lam)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (7, 2)])
+def test_charpoly_blocks_are_monic_factors_of_the_charpoly(p, k):
+    K = make_field(p, k)
+    rng = random.Random(3 * p + k)
+    for _ in range(10):
+        n = rng.randrange(1, 7)
+        M = FieldMatrix(K, [[rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)])
+        blocks = M._charpoly_blocks()
+        assert all(b[-k:] == [1] + [0] * (k - 1) for b in blocks)
+        product = Polynomial.one(K)
+        for b in blocks:
+            product = product * Polynomial(K, [b[i:i + k] for i in range(0, len(b), k)])
+        assert product == M.charpoly()
+        assert sum(len(b) // k - 1 for b in blocks) == n
