@@ -17,10 +17,19 @@ upgrades the verdict to absolute irreducibility.  The first samples are
 the generators, mostly diagonal or triangular, so the eigen-step reads
 what their structure gives: theta - lam I changes only the diagonal,
 and a diagonal shift's kernel is a set of unit vectors.
+
+A scalar sample, theta = lam I, says nothing of the module: of its
+eigenspace, the whole space, only the first vector is probed, which
+still finds the submodule span(e_1) when every generator is scalar.
+(m = 2's zeta = -I is the only scalar sample among the canonical
+modules.)  The dual spin reads the generators' packed rows, which are
+the columns of their transposes, so no transposed generator is built;
+a diagonal theta - lam I is its own transpose.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -30,7 +39,7 @@ from typing import Optional
 from .curve import CurveAutomorphism, InvalidCurveError
 from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _polymul, _power, _prime_divisors, _times,
                  check_budget, is_prime, lift_to, make_field)
-from .linalg import FieldMatrix, _Rows, is_invariant_subspace, spin
+from .linalg import FieldMatrix, _Rows, _Transpose, is_invariant_subspace, spin
 from .poly import Polynomial, roots_in_field
 
 
@@ -100,13 +109,22 @@ def zeta_of_order(K: FieldDescriptor, m: int):
     K^x is cyclic of order q-1, so z -> z^((q-1)/m) maps onto the m-th roots
     of unity; the first nonzero z whose image h has exact order m gives
     them all as powers of h, and those of exact order m are h^t with t
-    prime to m.  The first of them is the least residue tuple.
+    prime to m.  The first of them is the least residue tuple.  When p - 1
+    divides (q-1)/m, every c in F_p^x has c^((q-1)/m) = 1, so z and c z have
+    the same image: only one z per F_p^x-line is tried, the one whose first
+    nonzero residue is 1.
     """
     Q = K.order - 1
     if Q % m != 0:
         raise ValueError(f"K has no element of order {m}")
+    p, k = K.p, K.k
     one, primes = K.one().coeffs, list(_prime_divisors(m))
-    h = next(h for h in (_power(K, z.coeffs, Q // m) for z in K.elements() if not z.is_zero())
+    if Q // m % (p - 1) == 0:
+        candidates = ((0,) * i + (1,) + rest for i in reversed(range(k))
+                      for rest in itertools.product(range(p), repeat=k - 1 - i))
+    else:
+        candidates = (z.coeffs for z in K.elements() if not z.is_zero())
+    h = next(h for h in (_power(K, z, Q // m) for z in candidates)
              if all(_power(K, h, m // r) != one for r in primes))
     rows, power, first = _mul_matrix(K, h), h, h
     for t in range(2, m):
@@ -339,7 +357,10 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
             null = shifted.nullspace()
             if len(null) == 1:
                 return _norton_decide(field, dim, shifted, null, gens)
-            for i in range(len(null)):
+            # theta = lam I tells nothing of the module, so only its first
+            # vector is probed: that still finds span(e_1) when every
+            # generator is scalar
+            for i in range(1 if len(null) == dim else len(null)):
                 sub = spin(field, null[i:i + 1], gens)
                 if len(sub) < dim:
                     return _reducible(field, sub, gens)
@@ -402,7 +423,10 @@ def _norton_decide(field, dim, shifted, null, gens):
     sub = spin(field, null, gens)
     if len(sub) < dim:
         return _reducible(field, sub, gens)
-    dual = spin(field, shifted.transpose().nullspace()[:1], [g.transpose() for g in gens])
+    # the dual spin reads the generators' packed rows, the columns of their
+    # transposes; a diagonal shifted is its own transpose
+    left = null if shifted._is_diagonal() else shifted.transpose().nullspace()[:1]
+    dual = spin(field, left, [_Transpose(g) for g in gens])
     if len(dual) < dim:
         ann = FieldMatrix(field, dual).nullspace()
         return _reducible(field, ann, gens)

@@ -85,19 +85,24 @@ _ARRAY_WIDTHS = {w: min(c for c in _ARRAY_CODES if c >= w) for w in range(1, 9)}
 
 def _pack(values, w):
     """One int holding the values, each below 2^(8 w), in w-byte slots."""
+    return int.from_bytes(_packed_bytes(values, w), "little")
+
+
+def _packed_bytes(values, w):
+    """A buffer of the little-endian bytes of the values, each below
+    2^(8 w), in w-byte slots: the bytes of `_pack`'s int."""
     c = _ARRAY_WIDTHS.get(w)
     if c is None:
-        return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+        return b"".join(v.to_bytes(w, "little") for v in values)
     a = array(_ARRAY_CODES[c], values)
     if sys.byteorder == "big":
         a.byteswap()
-    data = a.tobytes()
-    if c != w:
-        out = bytearray(len(a) * w)
-        for u in range(w):
-            out[u::w] = data[u::c]
-        data = out
-    return int.from_bytes(data, "little")
+    if c == w:
+        return a
+    data, out = a.tobytes(), bytearray(len(a) * w)
+    for u in range(w):
+        out[u::w] = data[u::c]
+    return out
 
 
 def _slots(data, w):

@@ -23,15 +23,20 @@ normalised into an echelon basis or read out.  The bounds:
     over the n k packed x^b column multiples that the matrix caches per
     width; its slots are at most n k (p-1)^2.
   * `_EchelonAccumulator`, the one elimination kernel, keeps the x^b
-    multiples of its rows.  A stored slot starts below p and grows by at
-    most k (p-1)^2 each time a later row clears its pivot column, so it
+    multiples of its rows, each row normalised on residues before it is
+    packed.  A stored slot starts below p and grows by at most k (p-1)^2
+    each time a later row clears its pivot column: x^b row_i gains
+    sum_u e_u (x^u row) over the k residues e_u of (-c) x^b.  So it
     stays at most B = (p-1) + d k (p-1)^2 for a basis of at most d rows.
     Reducing a vector whose slots are at most s0 gives slots at most
     s0 + d k (p-1) B.
-  * `_times_x`, which runs only for k >= 2, forms slots of at most
-    p (p-1) before reducing them: within both bounds above, since then
-    n k >= 2.  Normalising a row forms at most k (p-1)^2, within the
-    accumulator's bound.
+  * `_packed_lines` is the one routine for packed x^b multiples: of a
+    matrix's columns (cached per width), of its rows (`_Transpose`, the
+    MeatAxe's dual spin) and of a new accumulator row.  It packs the
+    matrix once and slices each line out of its bytes, so no transpose is
+    built.  Over F_p, x^b line is the line shifted up b slots; otherwise
+    multiplying by x forms slots of at most p (p-1) before reducing them,
+    within both bounds above, since then n k >= 2.
 
 `_slot_bytes` turns a bound into w, rounded up to 1, 2, 4 or 8 bytes.  The
 packer itself is `ff._pack`/`ff._unpack`, shared with the Kronecker
@@ -66,13 +71,14 @@ off-diagonal entry sends the matrix through the accumulator.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, compress
 from operator import mul
 
-from .ff import (FieldDescriptor, FieldElement, FieldMismatchError, _apply, _binary_power, _elements, _inverse,
-                 _mul_matrix, _pack, _polymul, _residues, _scale, _trim, _unpack, frobenius)
+from .ff import (_ARRAY_CODES, FieldDescriptor, FieldElement, FieldMismatchError, _apply, _binary_power, _elements,
+                 _inverse, _mul_matrix, _pack, _packed_bytes, _polymul, _residues, _scale, _trim, _unpack, frobenius)
 from .poly import Polynomial
 
 
@@ -83,15 +89,70 @@ def _slot_bytes(bound: int) -> int:
     return size if size > 8 else 1 << (size - 1).bit_length()
 
 
-def _times_x(X, count, field, w):
-    """x v for the packed vector X of count entries with slots below p: each
-    entry's residues move up one slot and the top one folds back through
-    `_reductions`; the result is packed with its slots reduced mod p."""
-    p, k, s = field.p, field.k, 8 * w
-    comb = int.from_bytes((b"\x01" + bytes(w * k - 1)) * count, "little")
-    top = X >> s * (k - 1) & comb * ((1 << s) - 1)
-    y = ((X & comb * ((1 << s * (k - 1)) - 1)) << s) + sum(r * top << s * u for u, r in enumerate(field._reductions[0]))
-    return _pack([c % p for c in _unpack(y, count * k, w)], w)
+# slots per block of the packed matrix that `_packed_lines` multiplies by x
+_BLOCK = 4096
+
+
+def _packed_lines(field, rows, w, columns=False):
+    """The packed x^b multiples, b < k, of the rows of the matrix with row
+    residues `rows`, or of its columns when `columns`: x^b line_j at index
+    j k + b, every slot below p.
+
+    The matrix is packed once and each line is a slice of its bytes; rows
+    over F_p are packed one by one.  An entry in F_p has x^b times it as
+    its residue moved up b slots, so over F_p x^b line is line << 8 w b.
+    Otherwise x^b M is formed on the packed matrix, from x^(b-1) M: each
+    entry's residues move up one slot, the top one folds back through
+    `_reductions`, and the slots, at most p (p-1), are reduced mod p, in
+    blocks of about `_BLOCK` slots; it is sliced the same way.
+    """
+    p, k = field.p, field.k
+    if not rows or not rows[0]:
+        return []
+    size = k * w
+    prime = k == 1 or not any(any(row[u::k]) for row in rows for u in range(1, k))
+    if prime and not columns:
+        return [_pack(row, w) << 8 * w * b for row in rows for b in range(k)]
+    data = _packed_bytes(chain.from_iterable(rows), w)
+    out = [_lines(data, len(rows), size, columns)]
+    if prime:
+        return [L << 8 * w * b for L in out[0] for b in range(k)]
+    s, step = 8 * w, -(-_BLOCK // k) * size
+    comb = int.from_bytes((b"\x01" + bytes(size - 1)) * (step // size), "little")
+    low, top = comb * ((1 << s * (k - 1)) - 1), comb * ((1 << s) - 1)
+    for _ in range(1, k):
+        data, prev = bytearray(), memoryview(data).cast("B")
+        for i in range(0, len(prev), step):
+            X = int.from_bytes(prev[i:i + step], "little")
+            t = X >> s * (k - 1) & top
+            y = ((X & low) << s) + sum(r * t << s * u for u, r in enumerate(field._reductions[0]))
+            data += _packed_bytes([c % p for c in _unpack(y, min(step, len(prev) - i) // w, w)], w)
+        out.append(_lines(data, len(rows), size, columns))
+    return list(chain.from_iterable(zip(*out)))
+
+
+def _lines(data, nrows, size, columns):
+    """The ints of the rows of the nrows-row matrix whose entries, `size`
+    bytes each, fill data row by row; of its columns when `columns`.  A
+    column is read from an `array` of the widest item that divides an
+    entry: one strided slice when an entry is one item, s slices copied
+    into place when it is s items."""
+    if not columns:
+        view = memoryview(data).cast("B")
+        step = len(view) // nrows
+        return [int.from_bytes(view[i:i + step], "little") for i in range(0, len(view), step)]
+    c = max(c for c in _ARRAY_CODES if size % c == 0)
+    a, s = array(_ARRAY_CODES[c]), size // c
+    a.frombytes(memoryview(data).cast("B"))
+    n = len(a) // (nrows * s)
+    if s == 1:
+        return [int.from_bytes(a[j::n], "little") for j in range(n)]
+    out, col = [], array(_ARRAY_CODES[c], bytes(nrows * size))
+    for j in range(n):
+        for u in range(s):
+            col[u::s] = a[j * s + u::n * s]
+        out.append(int.from_bytes(col, "little"))
+    return out
 
 
 class _Rows(Sequence):
@@ -237,12 +298,7 @@ class FieldMatrix:
         """The packed x^b multiples of the columns, x^b col_j at index j k + b."""
         cols = self._packed.get(w)
         if cols is None:
-            cols = []
-            for c in self.transpose()._rows:
-                cols.append(_pack(c, w))
-                for _ in range(self.field.k - 1):
-                    cols.append(_times_x(cols[-1], self.nrows, self.field, w))
-            self._packed[w] = cols
+            cols = self._packed[w] = _packed_lines(self.field, self._rows, w, columns=True)
         return cols
 
     def _product(self, v, w):
@@ -291,10 +347,16 @@ class FieldMatrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
+    def _is_diagonal(self) -> bool:
+        """A square matrix whose off-diagonal entries are all zero."""
+        k = self.field.k
+        return self.nrows == self.ncols and not any(
+            any(row[:i * k]) or any(row[i * k + k:]) for i, row in enumerate(self._rows))
+
     def nullspace(self):
         """Deterministic basis of the right kernel, as coordinate tuples."""
         p, k, n = self.field.p, self.field.k, self.ncols
-        if self.nrows == n and not any(any(row[:i * k]) or any(row[i * k + k:]) for i, row in enumerate(self._rows)):
+        if self._is_diagonal():
             # diagonal: the unit vectors at the zero diagonal entries, which
             # is the basis the reduced row echelon form gives
             return _Rows(self.field, [(0,) * (i * k) + (1,) + (0,) * ((n - i) * k - 1)
@@ -420,6 +482,20 @@ class FieldMatrix:
         return chi
 
 
+class _Transpose:
+    """The transpose of a matrix as `spin` reads it: its packed columns are
+    the matrix's packed rows, built from the row residues on each call, so
+    no transposed copy is made or kept."""
+
+    __slots__ = ("field", "nrows", "ncols", "_rows")
+
+    def __init__(self, matrix):
+        self.field, self.nrows, self.ncols, self._rows = matrix.field, matrix.ncols, matrix.nrows, matrix._rows
+
+    def _columns_packed(self, w):
+        return _packed_lines(self.field, self._rows, w)
+
+
 def _strong_components(adj):
     """The strongly connected components of the digraph i -> adj[i], by
     Tarjan's search (1972) run with an explicit stack instead of recursion.
@@ -516,28 +592,23 @@ class _EchelonAccumulator:
         if nz is None:
             return None
         pc = nz // k
-        count = self.length
-        lead = _inverse(F, vals[pc * k:pc * k + k])
-        # the normalised row lead vals = sum_b lead_b x^b vals, and its
-        # multiples V[t] = x^t row for t <= 2k - 2
-        V = [_pack(vals, w)]
-        for _ in range(k - 1):
-            V.append(_times_x(V[-1], count, F, w))
-        row = [c % p for c in _unpack(sum(map(mul, lead, V)), count * k, w)]
-        V = [_pack(row, w)]
-        for _ in range(2 * k - 2):
-            V.append(_times_x(V[-1], count, F, w))
+        row = _scale(vals, _inverse(F, vals[pc * k:pc * k + k]), F)
+        V = _packed_lines(F, [row], w)
         # keep earlier rows reduced against the new one: x^b row_i gains
-        # (-c) x^b row = sum_b' (-c)_b' V[b + b'], c = row_i[pc]
+        # e row = sum_u e_u V[u] for e = (-c) x^b, c = row_i[pc]; e moves
+        # from b to b + 1 as its residues move up and the top one folds
+        # back through `_reductions`
         shift, mask = 8 * w * k * pc, (1 << 8 * w) - 1
-        flat = self.flat
+        flat, red = self.flat, F._reductions[0] if k > 1 else None
         for i in range(0, len(flat), k):
             top = flat[i] >> shift
-            neg = [-(top >> 8 * w * b & mask) % p for b in range(k)]
-            if any(neg):
-                for b in range(k):
-                    flat[i + b] += sum(map(mul, neg, V[b:b + k]))
-        flat.extend(V[:k])
+            e = [-(top >> 8 * w * b & mask) % p for b in range(k)]
+            if any(e):
+                flat[i] += sum(map(mul, e, V))
+                for b in range(1, k):
+                    e = [(a + e[-1] * r) % p for a, r in zip([0] + e[:-1], red)]
+                    flat[i + b] += sum(map(mul, e, V))
+        flat.extend(V)
         self.pivots.append(pc)
         self._index.extend(range(pc * k, pc * k + k))
         return row

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -5,6 +6,7 @@ import pytest
 
 from superell.canrep import (
     MeatAxeInconclusive,
+    RepresentationModule,
     _roots_with_multiplicity,
     build_basis,
     canonical_module,
@@ -146,6 +148,39 @@ def test_zeta_of_order_is_the_first_element_of_that_order(p, k):
         assert zeta_of_order(K, m) == first_element_of_order(K, m), m
     with pytest.raises(ValueError):
         zeta_of_order(K, q)
+
+
+def least_of_each_order(K, orders):
+    """Brute force: the least residue tuple of each exact multiplicative
+    order in `orders`, scanning every element; the order of each z with
+    z^e = 1, e the lcm of `orders`, found by repeated multiplication."""
+    one, least, e = K.one(), {}, math.lcm(*orders)
+    for z in K.elements():
+        if z.is_zero() or z**e != one:
+            continue
+        order, power = 1, z
+        while power != one:
+            order, power = order + 1, power * z
+        if order in orders and order not in least:
+            least[order] = z
+    return least
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 48) if all(p % r for r in range(2, p))])
+def test_zeta_of_order_is_the_least_root_for_every_m_dividing_p_plus_1(p):
+    # (q - 1)/m = (p - 1)(p + 1)/m: the shortcut over F_p^x-lines applies
+    K = make_field(p, 2)
+    orders = [m for m in range(2, p + 2) if (p + 1) % m == 0]
+    least = least_of_each_order(K, orders)
+    for m in orders:
+        assert zeta_of_order(K, m) == least[m], (p, m)
+
+
+@pytest.mark.parametrize("p,k,m", [(5, 2, 8), (5, 2, 24), (13, 1, 4), (13, 1, 12)])
+def test_zeta_of_order_without_the_line_shortcut(p, k, m):
+    K = make_field(p, k)
+    assert (K.order - 1) // m % (p - 1) != 0
+    assert zeta_of_order(K, m) == least_of_each_order(K, {m})[m]
 
 
 def reference_generator_matrix(B, sigma, K):
@@ -371,6 +406,34 @@ def test_hermitian_meataxe_at_p_17_takes_seconds():
     elapsed = time.process_time() - start
     assert (v.verdict, v.endo_dim, v.witness) == ("absolutely-irreducible", 1, None)
     assert elapsed < 5, f"the p = 17 Hermitian MeatAxe took {elapsed:.1f} s of CPU"
+
+
+@pytest.mark.parametrize("p,k,dim", [(5, 2, 2), (5, 2, 4), (3, 1, 3)])
+def test_scalar_generators_give_a_one_dimensional_witness(p, k, dim):
+    # every sample is scalar, so only the first probe of the first sample
+    # can decide: the spin of e_1 is span(e_1)
+    K = make_field(p, k)
+    scalars = [K.one(), K.element([p - 1] + [0] * (k - 1)), K.element([1] * k)]
+    gens = tuple(FieldMatrix.identity(K, dim).scale(c) for c in scalars)
+    R = RepresentationModule(p=p, m=0, field=K, dim=dim, generators=gens, labels=("c",) * len(gens))
+    for seed in (0, 1):
+        v = decide_irreducibility(R, seed=seed)
+        assert v.verdict == "reducible"
+        assert v.witness.ncols == 1
+        assert v.witness.column(0) == tuple(K.one() if i == 0 else K.zero() for i in range(dim))
+        assert is_invariant_subspace([v.witness.column(0)], list(gens))
+
+
+def test_dual_spin_finds_the_submodule_the_eigenvector_misses():
+    # span(e_1) is invariant; the first sample g1 has the simple eigenvalue
+    # 1 first, whose eigenvector (1, 3) spins to everything under g2, so
+    # only the dual spin of g1's left eigenvector (0, 1) finds span(e_1)
+    K = make_field(5)
+    gens = (FieldMatrix(K, [[3, 1], [0, 1]]), FieldMatrix(K, [[2, 1], [0, 4]]))
+    R = RepresentationModule(p=5, m=0, field=K, dim=2, generators=gens, labels=("g1", "g2"))
+    v = decide_irreducibility(R, seed=0)
+    assert v.verdict == "reducible"
+    assert v.witness == FieldMatrix(K, [[1], [0]])
 
 
 def test_verdicts_are_deterministic_for_fixed_seed():

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from superell.ff import make_field
+from superell import linalg
+from superell.ff import _unpack, make_field
 from superell.linalg import (
     FieldMatrix,
     _EchelonAccumulator,
+    _packed_lines,
     _slot_bytes,
+    _Transpose,
     _strong_components,
     is_invariant_subspace,
     span_basis,
@@ -584,3 +587,52 @@ def test_charpoly_blocks_are_monic_factors_of_the_charpoly(p, k):
             product = product * Polynomial(K, [b[i:i + k] for i in range(0, len(b), k)])
         assert product == M.charpoly()
         assert sum(len(b) // k - 1 for b in blocks) == n
+
+
+def reference_lines(M, columns):
+    """x^b line_j for every column (or row) j of M and b < k, by
+    FieldElement products, as residue lists in the order j k + b."""
+    K = M.field
+    x = K.element([0, 1] + [0] * (K.k - 2)) if K.k > 1 else K.one()
+    lines = M.columns() if columns else M.rows
+    return [[c for e in line for c in (x**b * e).coeffs] for line in lines for b in range(K.k)]
+
+
+@pytest.mark.parametrize("p,k,prime", [(257, 1, False), (1000003, 1, False), (7, 2, True), (7, 2, False),
+                                       (257, 2, True), (257, 2, False), (3, 3, False), (5, 3, True)])
+@pytest.mark.parametrize("block", [None, 1, 5])
+def test_packed_lines_match_field_element_multiples(p, k, prime, block, monkeypatch):
+    # a small block splits the x-multiplication of the packed matrix
+    if block is not None:
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+    K = make_field(p, k)
+    rng = random.Random(7 * p + k)
+    for nrows, ncols in ((1, 1), (1, 5), (4, 1), (3, 3), (5, 2), (6, 9)):
+        M = FieldMatrix(K, [[K.element([rng.randrange(p)] + [0 if prime else rng.randrange(p) for _ in range(k - 1)])
+                             for _ in range(ncols)] for _ in range(nrows)])
+        # slots below p take at least the bytes of p - 1; a wider w must not matter
+        for w in (_slot_bytes(p - 1), _slot_bytes(p * p), 16):
+            for columns, length in ((True, nrows), (False, ncols)):
+                lines = _packed_lines(K, M._rows, w, columns)
+                got = [_unpack(L, length * k, w) for L in lines]
+                assert got == reference_lines(M, columns), (nrows, ncols, w, columns)
+    assert _packed_lines(K, [], 4, True) == []
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 2), (3, 3)])
+def test_spin_through_packed_rows_equals_spin_through_transposes(p, k):
+    K = make_field(p, k)
+    rng = random.Random(p * k)
+    draw = element_drawer(K, rng)
+    proper = 0
+    for _ in range(10):
+        n = rng.randrange(2, 8)
+        b = rng.randrange(1, n)
+        # lower block triangular, so the transposes keep span(e_0..e_(b-1)) and some spins are proper
+        mats = [FieldMatrix(K, [[draw() if (j < b or i >= b) and rng.random() < 0.6 else 0 for j in range(n)]
+                                for i in range(n)]) for _ in range(rng.randrange(1, 4))]
+        seeds = [tuple(draw() if i < b else K.zero() for i in range(n))]
+        rows = spin(K, seeds, [_Transpose(g) for g in mats])
+        assert rows == spin(K, seeds, [g.transpose() for g in mats])
+        proper += len(rows) < n
+    assert proper > 0

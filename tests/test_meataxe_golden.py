@@ -4,7 +4,7 @@ module and seed.
 The hashes pin `decide_irreducibility` byte for byte: a change to the
 eigen-step (char poly, root order, null vectors, spins) that moved any
 verdict or witness fails here.  The canonical modules cover every (p, m)
-with m | p + 1 and p <= 13, Hermitian included.  Their first samples are
+with m | p + 1 and p <= 23, Hermitian included.  Their first samples are
 generators, which decide every one of them, so the seeds agree; the
 conjugated sums below have generators without eigenvalues in the field,
 so their verdicts come from the seeded random samples.
@@ -43,6 +43,23 @@ CANONICAL = {
     (13, 2): IRREDUCIBLE,
     (13, 7): "5915a33825b8debda8136b57381b70f61843ba7e9bb0a08699f39324993cf95f",
     (13, 14): IRREDUCIBLE,
+    (17, 2): IRREDUCIBLE,
+    (17, 3): "8fbc1b0d0350f9956aec0b49453b6ef9ea1aa64d5c7619e78e7e1c37f29da149",
+    (17, 6): "e2bee528d0b712fb4e3fc8725ae9a2804c7d355671339e3d15310e108e28a1f7",
+    (17, 9): "25c78eb72b9417e3360db697f6645bd29626357242136a1d2afa5f3e5cd86c3b",
+    (17, 18): IRREDUCIBLE,
+    (19, 2): IRREDUCIBLE,
+    (19, 4): "992d09c72a1d51af5d51fa26816345338c52adf6d664526af2e9ecace83a042e",
+    (19, 5): "2502f1827138d0ba34b9c5ecf3eb6135c7dea73e5c3a3a5e15ea2bae56cdb215",
+    (19, 10): "89f699745b47c6653a10fb4042ffd36418c60b0c14e9398fceb4100f10d78aff",
+    (19, 20): IRREDUCIBLE,
+    (23, 2): IRREDUCIBLE,
+    (23, 3): "55216c0f54426843684ede7e2f654a88849924b28b35ab4063e8098c3f711fa1",
+    (23, 4): "b01843281b993f0195fed226141b8a2fc8342d8225a37dbd80d614b05ef2224b",
+    (23, 6): "c672a5c533062553e574e5d4f4798cdf0740d4f920720a516ce0157f4aff3a72",
+    (23, 8): "e34ccedb7c2132d83b565d8477cf1ffd64baa9b1278f152e34923426fc6cc5fc",
+    (23, 12): "f420fcbdde34b50b2f394f9e7f9c8a7bec73932dbb12022cddcdb922e417e45a",
+    (23, 24): IRREDUCIBLE,
 }
 
 

@@ -1,0 +1,93 @@
+"""Work counts of the MeatAxe: how many `spin` calls a decision makes, and
+the summed dimensions of their closures.
+
+The verdicts are pinned elsewhere (`test_meataxe_golden.py`); these counts
+pin the work behind them, so a change that decides the same modules with
+more spins fails here instead of only running slower.  The pairs are those
+of the meataxe benchmark workload, read from `bench/workloads.py`.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+from superell import canrep
+from superell.canrep import canonical_module, decide_irreducibility
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def meataxe_pairs():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.meataxe_pairs()
+
+
+def spins_of(R, seed, monkeypatch):
+    """The closure dimension of every `spin` call deciding R."""
+    dims, spin = [], canrep.spin
+    monkeypatch.setattr(canrep, "spin", lambda *args: dims.append(len(r := spin(*args))) or r)
+    decide_irreducibility(R, seed=seed)
+    return dims
+
+
+# (p, m) -> (spin calls, summed closure dimensions) at seed 0
+SPIN_WORK = {
+    (2, 3): (0, 0),
+    (3, 2): (0, 0),
+    (3, 4): (2, 6),
+    (5, 2): (3, 6),
+    (5, 3): (1, 1),
+    (5, 6): (2, 20),
+    (7, 2): (3, 9),
+    (7, 4): (1, 1),
+    (7, 8): (2, 42),
+    (11, 2): (3, 15),
+    (11, 3): (1, 3),
+    (11, 4): (1, 2),
+    (11, 6): (1, 1),
+    (11, 12): (2, 110),
+    (13, 2): (3, 18),
+    (13, 7): (1, 1),
+    (17, 2): (3, 24),
+    (17, 3): (1, 5),
+    (17, 6): (1, 2),
+    (17, 9): (1, 1),
+    (19, 2): (3, 27),
+    (19, 4): (1, 4),
+    (19, 5): (1, 3),
+    (19, 10): (1, 1),
+    (23, 2): (3, 33),
+    (23, 3): (1, 7),
+    (23, 4): (1, 5),
+    (23, 6): (1, 3),
+    (23, 8): (1, 2),
+    (23, 12): (1, 1),
+}
+
+
+def test_spin_work_covers_the_benchmark_pairs():
+    assert sorted(SPIN_WORK) == sorted(meataxe_pairs())
+    assert tuple(map(sum, zip(*SPIN_WORK.values()))) == (46, 353)
+
+
+@pytest.mark.parametrize("p,m", sorted(SPIN_WORK))
+def test_spin_work_is_pinned(p, m, monkeypatch):
+    dims = spins_of(canonical_module(p, m), 0, monkeypatch)
+    assert (len(dims), sum(dims)) == SPIN_WORK[(p, m)]
+
+
+@pytest.mark.parametrize("p", [11, 23, 199])
+def test_scalar_sample_probes_one_vector(p, monkeypatch):
+    # m = 2: the first sample, zeta = -I, probes e_1 alone (a full spin);
+    # the next generator decides by the spin and the dual spin
+    dims = spins_of(canonical_module(p, 2), 0, monkeypatch)
+    assert dims == [(p - 1) // 2] * 3
