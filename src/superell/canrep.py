@@ -6,12 +6,35 @@ group generated by the vertical root-of-unity map and the SL(2, F_p)
 lifts acts by pullback; all matrices are realized over F_{p^2}, which
 contains the m-th roots of unity because m | p+1.
 
-Irreducibility is decided by a seeded MeatAxe: sample elements of the
-generated matrix algebra, read their eigenvalues off the char poly's
-block split (a 1 x 1 block is its own eigenvalue; only the larger
-blocks are scanned over the field), spin null vectors through the
-generators, and certify irreducibility with the dual (transposed) spin
-when the eigenspace is a line.  A one-dimensional eigenspace of an
+Irreducibility is decided first by a structural certificate
+(`structural_certificate`), which reads only the generators' nonzero
+patterns and checks each premise at runtime:
+
+  * weights: a diagonal generator D and a monomial generator P such that
+    the weights of the basis vectors under the torus of D and its
+    P-conjugates are distinct.  Every submodule is then spanned by basis
+    vectors, so the module is absolutely irreducible iff the union of the
+    generators' support digraphs is strongly connected (Tarjan 1972).
+    The Hermitian plane modules (m = p+1) meet it: their monomials have
+    distinct weights under the scaling and its rotation conjugates.
+  * flag: an upper unitriangular generator with no zero on its
+    superdiagonal, one Jordan block, whose invariant subspaces are the
+    V_k = <e_0..e_(k-1)>.  The module is absolutely irreducible iff every
+    V_k, 0 < k < dim, is moved by some generator.  x -> x + 1 meets it
+    for m = 2.
+
+A certified verdict has commutant dimension 1 by Schur's lemma.  Where no
+premise holds, where one holds but the module is reducible, and for
+dim < 2, the MeatAxe decides (`meataxe_decide`), so every reducible
+verdict and its witness come from it.  A verdict names its route, which
+`rep` prints in its provenance.
+
+The MeatAxe is seeded: sample elements of the generated matrix
+algebra, read their eigenvalues off the char poly's block split (a
+1 x 1 block is its own eigenvalue; only the larger blocks are scanned
+over the field), spin null vectors through the generators, and certify
+irreducibility with the dual (transposed) spin when the eigenspace is a
+line.  A one-dimensional eigenspace of an
 algebra element also certifies that the commutant is scalar, which
 upgrades the verdict to absolute irreducibility.  The first samples are
 the generators, mostly diagonal or triangular, so the eigen-step reads
@@ -29,6 +52,7 @@ a diagonal theta - lam I is its own transpose.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -39,7 +63,7 @@ from typing import Optional
 from .curve import CurveAutomorphism, InvalidCurveError
 from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _polymul, _power, _prime_divisors, _times,
                  check_budget, is_prime, lift_to, make_field)
-from .linalg import FieldMatrix, _Rows, _Transpose, is_invariant_subspace, spin
+from .linalg import FieldMatrix, _Rows, _strong_components, _Transpose, is_invariant_subspace, spin
 from .poly import Polynomial, roots_in_field
 
 
@@ -323,14 +347,134 @@ def _unit_norm_pair(K, p: int):
     return None
 
 
+# the routes a verdict can take, as `rep` names them in its provenance
+MEATAXE_ROUTE = "meataxe-dual-spin-certificate"
+WEIGHT_ROUTE = "torus-weight-connectivity-certificate"
+FLAG_ROUTE = "unipotent-flag-certificate"
+
+
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     verdict: str                      # absolutely-irreducible / reducible
     witness: Optional[FieldMatrix]    # columns span an invariant subspace
     endo_dim: Optional[int]           # commutant dimension when computed
+    # how the verdict was reached; verdicts compare by their content alone
+    route: str = dataclasses.field(default=MEATAXE_ROUTE, compare=False)
 
 
 def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 200) -> IrreducibilityVerdict:
+    """The structural certificate where its premises hold, else the seeded
+    MeatAxe (`meataxe_decide`), which gives every reducible verdict."""
+    return structural_certificate(R) or meataxe_decide(R, seed, budget)
+
+
+def structural_certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
+    """Absolute irreducibility of R from its generators' shapes, without
+    sampling, or None when neither premise decides it.
+
+    Weight premise: a diagonal generator D and a monomial generator P, such
+    that the weights of the basis vectors are distinct.  Then every
+    submodule is spanned by basis vectors, and R is irreducible iff the
+    union of the generators' support digraphs is strongly connected.
+    Flag premise: an upper unitriangular generator with no zero on its
+    superdiagonal.  Then R is irreducible iff no V_k = <e_0..e_(k-1)>,
+    0 < k < dim, is invariant.  Either way the verdict holds over every
+    extension field, so it is absolute, and Schur's lemma gives commutant
+    dimension 1.  A module of dimension below 2 is left to the MeatAxe.
+    """
+    if R.dim < 2:
+        return None
+    gens = R.generators
+    if _distinct_weights(gens):
+        adjs = [G._adjacency() for G in gens]
+        if len(_strong_components([list(itertools.chain.from_iterable(out)) for out in zip(*adjs)])) == 1:
+            return IrreducibilityVerdict("absolutely-irreducible", None, 1, WEIGHT_ROUTE)
+    elif any(map(_is_jordan_block, gens)) and _moves_every_flag_member(gens):
+        return IrreducibilityVerdict("absolutely-irreducible", None, 1, FLAG_ROUTE)
+    return None
+
+
+def _distinct_weights(gens) -> bool:
+    """Some diagonal D and monomial P among gens give distinct weights.
+
+    P e_i is a multiple of e_(pi(i)), so P^t D P^(-t) is diagonal with
+    D[pi^(-t)(i)] at i, whatever P's scalars.  These matrices span a torus,
+    and e_i has the weight t -> D[pi^(-t)(i)], periodic in t.  It is
+    compared by its values along P's orbit of i: were two weights equal with
+    different orbit lengths, the longer orbit would have a shorter period,
+    and two of its own members would share their values.  When the dim
+    weights are distinct, the torus holds every coordinate projection.  A
+    diagonal P stands for the identity, pi = 1, which lies in the algebra
+    whatever P's diagonal.
+    """
+    k, dim = gens[0].field.k, gens[0].nrows
+    diagonal = [G._is_diagonal() for G in gens]
+    entries = [[row[i * k:i * k + k] for i, row in enumerate(D._rows)] for D, d in zip(gens, diagonal) if d]
+    if not entries:
+        return False
+    for P, d in zip(gens, diagonal):
+        back = list(range(dim)) if d else _monomial_columns(P)
+        if back is not None and any(_orbit_values_differ(D, back) for D in entries):
+            return True
+    return False
+
+
+def _orbit_values_differ(D, back) -> bool:
+    """The values of D, a list of diagonal entries, along the orbit of each
+    i under back (from back[i] on, until it returns to i), are distinct."""
+    weights = set()
+    for i in range(len(back)):
+        orbit, j = [D[i]], back[i]
+        while j != i:
+            orbit.append(D[j])
+            j = back[j]
+        weights.add(tuple(orbit))
+        if len(weights) <= i:
+            return False
+    return True
+
+
+def _monomial_columns(P):
+    """The column of each row's one nonzero entry, pi^(-1) for P e_i a
+    multiple of e_(pi(i)); None unless P is monomial.  A row's first
+    nonzero residue is found, and the rest of the row checked, at C speed."""
+    k, back = P.field.k, []
+    for row in P._rows:
+        j = next(itertools.compress(itertools.count(), row), -k) // k
+        if j < 0 or any(row[j * k + k:]):
+            return None
+        back.append(j)
+    return back if len(set(back)) == len(back) else None
+
+
+def _is_jordan_block(U) -> bool:
+    """U is upper unitriangular with no zero on its superdiagonal: one
+    Jordan block, whose invariant subspaces are the flag V_k."""
+    k, n = U.field.k, U.nrows
+    one = (1,) + (0,) * (k - 1)
+    return all(not any(row[:i * k]) and row[i * k:i * k + k] == one
+               and (i + 1 == n or any(row[i * k + k:i * k + 2 * k])) for i, row in enumerate(U._rows))
+
+
+def _moves_every_flag_member(gens) -> bool:
+    """For every 0 < k < dim some generator has a nonzero entry in a row
+    >= k of a column < k, so that it moves V_k."""
+    dim = gens[0].nrows
+    lowest = list(range(dim))   # the lowest nonzero row of each column, at least its own
+    for G in gens:
+        for i, out in enumerate(G._adjacency()):
+            for j in out:
+                if i > lowest[j]:
+                    lowest[j] = i
+    reach = 0
+    for k in range(1, dim):
+        reach = max(reach, lowest[k - 1])
+        if reach < k:
+            return False
+    return True
+
+
+def meataxe_decide(R: RepresentationModule, seed: int = 0, budget: int = 200) -> IrreducibilityVerdict:
     """Seeded MeatAxe with the dual-spin certificate.
 
     Reducible verdicts always carry a witness that is re-verified by the

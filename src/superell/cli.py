@@ -135,28 +135,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    basis = canrep.build_basis(args.p, args.m)
     module = canrep.canonical_module(args.p, args.m)
     verdict = canrep.decide_irreducibility(module, seed=args.seed)
-    results = {
-        "p": args.p,
-        "m": args.m,
-        "dim": module.dim,
-        "realization": (
-            "plane-model degree-(p-2) monomials"
-            if args.m == args.p + 1
-            else "differential basis x^i dx / y^j"
-        ),
-        "basis": [[j, i] for (j, i) in basis.entries],
-        "generators": [
-            {"label": lab, "matrix": _matrix_json(mat)}
-            for lab, mat in zip(module.labels, module.generators)
-        ],
-        "verdict": verdict.verdict,
-        "endo_dim": verdict.endo_dim,
-    }
-    if verdict.witness is not None:
-        results["witness_columns"] = _matrix_json(verdict.witness)
     lines = [
         f"canonical representation for p={args.p}, m={args.m}: dim {module.dim}",
         f"verdict: {verdict.verdict}"
@@ -164,12 +144,31 @@ def cmd_rep(args) -> int:
     ]
     if verdict.witness is not None:
         lines.append(f"invariant subspace witness of dimension {verdict.witness.ncols}")
-    provenance = [
-        "holomorphic-differential-basis",
-        "pullback-generator-matrices",
-        "meataxe-dual-spin-certificate",
-    ]
-    _emit(_report("rep", {"p": args.p, "m": args.m, "seed": args.seed}, results, provenance), args.json, lines)
+    report_obj = None
+    # the matrices are listed only for the report that prints them
+    if args.json:
+        results = {
+            "p": args.p,
+            "m": args.m,
+            "dim": module.dim,
+            "realization": (
+                "plane-model degree-(p-2) monomials"
+                if args.m == args.p + 1
+                else "differential basis x^i dx / y^j"
+            ),
+            "basis": [[j, i] for (j, i) in canrep.build_basis(args.p, args.m).entries],
+            "generators": [
+                {"label": lab, "matrix": _matrix_json(mat)}
+                for lab, mat in zip(module.labels, module.generators)
+            ],
+            "verdict": verdict.verdict,
+            "endo_dim": verdict.endo_dim,
+        }
+        if verdict.witness is not None:
+            results["witness_columns"] = _matrix_json(verdict.witness)
+        provenance = ["holomorphic-differential-basis", "pullback-generator-matrices", verdict.route]
+        report_obj = _report("rep", {"p": args.p, "m": args.m, "seed": args.seed}, results, provenance)
+    _emit(report_obj, args.json, lines)
     return EXIT_OK
 
 

@@ -186,24 +186,31 @@ def _polydivmod(a, b, K):
 
     Each step clears the top coefficient t of the remainder: the quotient
     gains c = t / lead(b) and the remainder loses c b.  Over F_p these are
-    int products mod p, as in schoolbook division; for k >= 2 they go
-    through k x k multiplication matrices (`_times`, `_scale`).  Trimming
-    the remainder after a step skips a run of zero coefficients at once.
+    int products mod p, as in schoolbook division, with no set-up beyond
+    one `pow`; for k >= 2 they go through k x k multiplication matrices
+    (`_times`, `_scale`).  Trimming the remainder after a step skips a run
+    of zero coefficients at once.
     """
     p, k = K.p, K.k
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     a, n = list(a), len(b)
     q = [0] * max(len(a) - n + k, 0)
+    if k == 1:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= n:
+            s = len(a) - n
+            c = q[s] = a.pop() * inv % p
+            a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
+            if a and not a[-1]:
+                _trim(a, 1)
+        return q, a
     inv = _mul_matrix(K, _inverse(K, b[-k:]))
     while len(a) >= n:
         s = len(a) - n
-        if k == 1:
-            c = a[-1] * inv[0][0] % p
-            q[s] = c
-            a[s:-1] = [(x - c * y) % p for x, y in zip(a[s:-1], b)]
-        else:
-            c = _times(inv, a[-k:], p)
-            q[s:s + k] = c
-            a[s:-k] = [(x - y) % p for x, y in zip(a[s:-k], _scale(b, c, K))]
+        c = _times(inv, a[-k:], p)
+        q[s:s + k] = c
+        a[s:-k] = [(x - y) % p for x, y in zip(a[s:-k], _scale(b, c, K))]
         del a[-k:]
         if a and not any(a[-k:]):
             _trim(a, k)

@@ -5,6 +5,10 @@ import time
 import pytest
 
 from superell.canrep import (
+    FLAG_ROUTE,
+    MEATAXE_ROUTE,
+    WEIGHT_ROUTE,
+    IrreducibilityVerdict,
     MeatAxeInconclusive,
     RepresentationModule,
     _roots_with_multiplicity,
@@ -17,8 +21,10 @@ from superell.canrep import (
     _monomials,
     generator_matrix,
     hermitian_plane_module,
+    meataxe_decide,
     module_estimate,
     sl2_generators,
+    structural_certificate,
     _sample_algebra_element,
     zeta_of_order,
 )
@@ -402,7 +408,7 @@ def test_roots_with_multiplicity_of_sampled_char_poly_blocks():
 def test_hermitian_meataxe_at_p_17_takes_seconds():
     # dim 136 over F_289; the FieldElement kernel took 27.8 s of CPU here
     start = time.process_time()
-    v = decide_irreducibility(canonical_module(17, 18))
+    v = meataxe_decide(canonical_module(17, 18))
     elapsed = time.process_time() - start
     assert (v.verdict, v.endo_dim, v.witness) == ("absolutely-irreducible", 1, None)
     assert elapsed < 5, f"the p = 17 Hermitian MeatAxe took {elapsed:.1f} s of CPU"
@@ -434,6 +440,86 @@ def test_dual_spin_finds_the_submodule_the_eigenvector_misses():
     v = decide_irreducibility(R, seed=0)
     assert v.verdict == "reducible"
     assert v.witness == FieldMatrix(K, [[1], [0]])
+
+
+# -- structural certificate ----------------------------------------------------
+
+
+@pytest.mark.parametrize("p,m", [(2, 3)] + all_divisor_params(23))
+def test_structural_certificate_agrees_with_the_meataxe(p, m):
+    R = canonical_module(p, m)
+    cert, v = structural_certificate(R), meataxe_decide(R)
+    if m not in (2, p + 1) or R.dim < 2:
+        assert cert is None
+        return
+    assert cert == v == IrreducibilityVerdict("absolutely-irreducible", None, 1)
+    assert cert.route == (FLAG_ROUTE if m == 2 else WEIGHT_ROUTE)
+    assert v.route == MEATAXE_ROUTE
+    assert decide_irreducibility(R).route == cert.route
+
+
+def test_structural_certificate_leaves_scalar_and_non_unipotent_modules_to_the_meataxe():
+    for p, k, dim in [(5, 2, 2), (5, 2, 4), (3, 1, 3)]:
+        K = make_field(p, k)
+        scalars = [K.one(), K.element([p - 1] + [0] * (k - 1)), K.element([1] * k)]
+        gens = tuple(FieldMatrix.identity(K, dim).scale(c) for c in scalars)
+        assert structural_certificate(RepresentationModule(p, 0, K, dim, gens, ("c",) * 3)) is None
+    # the triangular pair of the dual-spin test: neither is unitriangular
+    K = make_field(5)
+    gens = (FieldMatrix(K, [[3, 1], [0, 1]]), FieldMatrix(K, [[2, 1], [0, 4]]))
+    assert structural_certificate(RepresentationModule(5, 0, K, 2, gens, ("g1", "g2"))) is None
+
+
+def small_module(p, *rows):
+    K = make_field(p)
+    gens = tuple(FieldMatrix(K, r) for r in rows)
+    return RepresentationModule(p=p, m=0, field=K, dim=gens[0].nrows, generators=gens, labels=("g",) * len(gens))
+
+
+def test_structural_certificate_decides_small_modules_by_either_premise():
+    # distinct weights 1, 2, 3 and a 3-cycle whose support is one cycle
+    R = small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[0, 0, 5], [1, 0, 0], [0, 2, 0]])
+    assert structural_certificate(R).route == WEIGHT_ROUTE
+    assert meataxe_decide(R) == structural_certificate(R)
+    # D = diag(1, 1, 2, 2) alone has repeated entries; along the orbits of
+    # the 4-cycle the weights (1, 2, 2, 1), (1, 1, 2, 2), ... are distinct
+    R = small_module(5, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+                     [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert structural_certificate(R).route == WEIGHT_ROUTE
+    assert meataxe_decide(R) == structural_certificate(R)
+    # a Jordan block and the lower shift, which moves every flag member
+    R = small_module(5, [[1, 2, 3], [0, 1, 4], [0, 0, 1]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert structural_certificate(R).route == FLAG_ROUTE
+    assert meataxe_decide(R) == structural_certificate(R)
+
+
+@pytest.mark.parametrize("rows", [
+    # distinct weights, but the support digraph splits as {0, 1} and {2}
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
+    # a Jordan block, and V_2 = <e_0, e_1> is left invariant
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+    # one Jordan block alone leaves its whole flag invariant
+    ([[1, 3, 0], [0, 1, 6], [0, 0, 1]],),
+])
+def test_a_premise_that_holds_on_a_reducible_module_leaves_it_to_the_meataxe(rows):
+    R = small_module(7, *rows)
+    assert structural_certificate(R) is None
+    v = decide_irreducibility(R)
+    assert v == meataxe_decide(R)
+    assert (v.verdict, v.route) == ("reducible", MEATAXE_ROUTE)
+    assert is_invariant_subspace(v.witness.columns(), list(R.generators))
+
+
+@pytest.mark.parametrize("p,m", [(2003, 2), (47, 48)])
+def test_structural_certificate_decides_the_largest_modules_in_a_second(p, m):
+    # dim 1001 and 1081; the MeatAxe took more than 120 s and about 60 s here
+    R = canonical_module(p, m)
+    start = time.process_time()
+    v = decide_irreducibility(R)
+    elapsed = time.process_time() - start
+    route = FLAG_ROUTE if m == 2 else WEIGHT_ROUTE
+    assert (v.verdict, v.endo_dim, v.route) == ("absolutely-irreducible", 1, route)
+    assert elapsed < 1, f"deciding (p, m) = {(p, m)} took {elapsed:.2f} s of CPU"
 
 
 def test_verdicts_are_deterministic_for_fixed_seed():

@@ -121,6 +121,25 @@ def test_rep_refuses_a_huge_module_before_building_it(capsys):
     assert time.process_time() - start < 1
 
 
+def test_rep_hermitian_p_31_takes_under_two_seconds(capsys):
+    # dim 465: the MeatAxe took about 11 s here; the structural certificate
+    # decides it, and text mode lists no matrix
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["rep", "--p", "31", "--m", "32"])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (0, "canonical representation for p=31, m=32: dim 465\n"
+                              "verdict: absolutely-irreducible (commutant dimension 1)\n")
+    assert elapsed < 2, f"rep --p 31 --m 32 took {elapsed:.2f} s of wall time"
+
+
+def test_rep_json_names_the_route_of_its_verdict(capsys):
+    routes = {(7, 2): "unipotent-flag-certificate", (5, 6): "torus-weight-connectivity-certificate",
+              (5, 3): "meataxe-dual-spin-certificate", (2, 3): "meataxe-dual-spin-certificate"}
+    for (p, m), route in routes.items():
+        _, rep, _ = run_json(capsys, ["rep", "--p", str(p), "--m", str(m)])
+        assert rep["provenance"] == ["holomorphic-differential-basis", "pullback-generator-matrices", route]
+
+
 def test_search_past_the_predicates_bound_takes_no_sieve(capsys):
     start = time.process_time()
     code, out, err = run(capsys, ["search", "--spec", "tame-inside", "--p-max", "100000000"])

@@ -3,6 +3,9 @@
 The hashes pin the byte-identical `--json` invariant: a refactor that
 changes any verdict, count, matrix, witness or key order fails here.
 Regenerate a hash only for a deliberate change of output, and say so.
+The `rep` reports of (7, 2), (5, 6), (7, 8) and (11, 12) name the
+structural certificate that decides them in their provenance, where they
+named the MeatAxe's dual spin; nothing else in them changed.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ CORPUS = [
     (["rep", "--p", "7", "--m", "4"], 0,
      "ff05a2a1baf5f242319ab26f20fba7f26227ebf415789a01b1acbc298dbc097f"),
     (["rep", "--p", "7", "--m", "2"], 0,
-     "275fd4339d683a911d8fb1587d7c8294d2fbb6225c42904bc32d7f92f87ce0de"),
+     "7905b6d412baf4cafeeba8ce1769c7944a1374d4c1033de93f3fa8e0be2d1a20"),
     (["rep", "--p", "11", "--m", "3"], 0,
      "03a7f1a031f5b8a2029fcbda929ed44928b7d4e3478488e2ed1425c9e6f0cd85"),
     (["rep", "--p", "11", "--m", "4", "--seed", "3"], 0,
@@ -39,13 +42,13 @@ CORPUS = [
      "944e0509ba1fea46a5d40e9372ffc5321a199bde0cc13f10a85360755ad48803"),
     # Hermitian plane models
     (["rep", "--p", "5", "--m", "6"], 0,
-     "2a9601f99ca9698bde78e1e47d2178b3bf8f019c662b385eb92ba77d05f1e892"),
+     "0d74478f444effebf3da450a644542ea9b99d046fab6611bc631e58e490e83f1"),
     (["rep", "--p", "7", "--m", "8"], 0,
-     "3b61247bc3eeb31cd35978ffe6e273bf9448ee47900284790d41120fab2a7762"),
+     "7ba6ecd912a444270cd358c0c93ec1e69413f6df4c89cb63434872893456f595"),
     (["rep", "--p", "2", "--m", "3"], 0,
      "54b47f9de3c2b9f0b228363c7d8408488596d8c689f78bcb5a68ed0bfbd6fcf5"),
     (["rep", "--p", "11", "--m", "12"], 0,
-     "a916c1eeec733945d3ae40dc1575b3a1ac386d350e4f46da0c8afd14ba08bb8c"),
+     "a37e718921d6ab06daf84a204d962ed02593ab08257a48b7dc16acbd14491bf0"),
     # reducible, dim 121, with a witness
     (["rep", "--p", "23", "--m", "12"], 0,
      "546de889eb9d80c972c2895ee9abac9f329cd62ee3e4d9d34af6eff95a8c3847"),

@@ -1,9 +1,10 @@
 """Golden MeatAxe outputs: the sha256 of (verdict, endo_dim, witness) per
 module and seed.
 
-The hashes pin `decide_irreducibility` byte for byte: a change to the
-eigen-step (char poly, root order, null vectors, spins) that moved any
-verdict or witness fails here.  The canonical modules cover every (p, m)
+The hashes pin `meataxe_decide` and `decide_irreducibility` byte for
+byte: a change to the eigen-step (char poly, root order, null vectors,
+spins) or to the structural certificate that moved any verdict or
+witness fails here.  The canonical modules cover every (p, m)
 with m | p + 1 and p <= 23, Hermitian included.  Their first samples are
 generators, which decide every one of them, so the seeds agree; the
 conjugated sums below have generators without eigenvalues in the field,
@@ -16,12 +17,14 @@ import random
 
 import pytest
 
-from superell.canrep import RepresentationModule, canonical_module, decide_irreducibility
+from superell.canrep import (RepresentationModule, canonical_module, decide_irreducibility, meataxe_decide,
+                             structural_certificate)
 from superell.ff import make_field
 from superell.linalg import FieldMatrix
 from superell.poly import roots_in_field
 
 SEEDS = (0, 1, 12345)
+DECIDERS = (meataxe_decide, decide_irreducibility)
 
 IRREDUCIBLE = "e598eace1a72938fbf66b147447e79b52478b58b714ab6ddf0dcd3fcdb8a7c97"
 
@@ -73,8 +76,9 @@ def digest(v):
 @pytest.mark.parametrize("p,m", sorted(CANONICAL))
 def test_canonical_meataxe_outputs_are_pinned(p, m):
     R = canonical_module(p, m)
-    for seed in SEEDS:
-        assert digest(decide_irreducibility(R, seed=seed)) == CANONICAL[(p, m)], (p, m, seed)
+    for decide in DECIDERS:
+        for seed in SEEDS:
+            assert digest(decide(R, seed=seed)) == CANONICAL[(p, m)], (decide.__name__, p, m, seed)
 
 
 def rootless_blocks(K, sizes, count, rng):
@@ -142,5 +146,12 @@ SAMPLED = {
 @pytest.mark.parametrize("case", sorted(SAMPLED))
 def test_sampled_meataxe_outputs_are_pinned(case):
     R = conjugated_module(*case)
-    for seed in SEEDS:
-        assert digest(decide_irreducibility(R, seed=seed)) == SAMPLED[case][seed], (case, seed)
+    for decide in DECIDERS:
+        for seed in SEEDS:
+            assert digest(decide(R, seed=seed)) == SAMPLED[case][seed], (decide.__name__, case, seed)
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED))
+def test_sampled_modules_have_no_structural_certificate(case):
+    # no generator of a conjugated sum is diagonal, monomial or triangular
+    assert structural_certificate(conjugated_module(*case)) is None

@@ -1,10 +1,14 @@
-"""Work counts of the MeatAxe: how many `spin` calls a decision makes, and
-the summed dimensions of their closures.
+"""Work counts of the irreducibility decision: how many `spin` calls it
+makes, and the summed dimensions of their closures.
 
 The verdicts are pinned elsewhere (`test_meataxe_golden.py`); these counts
 pin the work behind them, so a change that decides the same modules with
-more spins fails here instead of only running slower.  The pairs are those
-of the meataxe benchmark workload, read from `bench/workloads.py`.
+more spins fails here instead of only running slower.  `SPIN_WORK` is the
+MeatAxe's own work (`meataxe_decide`); `DECIDE_WORK` is that of
+`decide_irreducibility`, whose structural certificate decides the
+irreducible modules of dimension >= 2 with no spin and leaves the others to
+the MeatAxe.  The pairs are those of the meataxe benchmark workload, read
+from `bench/workloads.py`.
 """
 
 import importlib.util
@@ -14,7 +18,7 @@ import sys
 import pytest
 
 from superell import canrep
-from superell.canrep import canonical_module, decide_irreducibility
+from superell.canrep import canonical_module, decide_irreducibility, meataxe_decide
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -31,11 +35,12 @@ def meataxe_pairs():
     return module.meataxe_pairs()
 
 
-def spins_of(R, seed, monkeypatch):
-    """The closure dimension of every `spin` call deciding R."""
+def spins_of(R, seed, monkeypatch, decide=meataxe_decide):
+    """The closure dimension of every `spin` call that `decide` makes
+    deciding R."""
     dims, spin = [], canrep.spin
     monkeypatch.setattr(canrep, "spin", lambda *args: dims.append(len(r := spin(*args))) or r)
-    decide_irreducibility(R, seed=seed)
+    decide(R, seed=seed)
     return dims
 
 
@@ -74,15 +79,30 @@ SPIN_WORK = {
 }
 
 
+# the pairs the structural certificate decides: m = 2 and m = p + 1, dim >= 2
+CERTIFIED = {(p, m) for p, m in SPIN_WORK if m in (2, p + 1) and (p - 1) * (m - 1) // 2 >= 2}
+
+# (p, m) -> (spin calls, summed closure dimensions) of decide_irreducibility at seed 0
+DECIDE_WORK = {pm: (0, 0) if pm in CERTIFIED else work for pm, work in SPIN_WORK.items()}
+
+
 def test_spin_work_covers_the_benchmark_pairs():
     assert sorted(SPIN_WORK) == sorted(meataxe_pairs())
     assert tuple(map(sum, zip(*SPIN_WORK.values()))) == (46, 353)
+    assert len(CERTIFIED) == 11
+    assert tuple(map(sum, zip(*DECIDE_WORK.values()))) == (17, 43)
 
 
 @pytest.mark.parametrize("p,m", sorted(SPIN_WORK))
 def test_spin_work_is_pinned(p, m, monkeypatch):
     dims = spins_of(canonical_module(p, m), 0, monkeypatch)
     assert (len(dims), sum(dims)) == SPIN_WORK[(p, m)]
+
+
+@pytest.mark.parametrize("p,m", sorted(DECIDE_WORK))
+def test_decide_work_is_pinned(p, m, monkeypatch):
+    dims = spins_of(canonical_module(p, m), 0, monkeypatch, decide_irreducibility)
+    assert (len(dims), sum(dims)) == DECIDE_WORK[(p, m)]
 
 
 @pytest.mark.parametrize("p", [11, 23, 199])

@@ -2,10 +2,10 @@ import random
 
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow, gf_sqf_p, gf_strip
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow, gf_rem, gf_sqf_p, gf_strip
 
 from superell import ff
-from superell.ff import _kronecker_bytes, _polymul, make_field
+from superell.ff import _kronecker_bytes, _polygcd, _polymul, make_field
 from superell.ff import FieldMismatchError
 from superell.linalg import FieldMatrix
 from superell.poly import Polynomial, is_squarefree, poly_gcd, poly_pow, roots_in_field
@@ -286,6 +286,24 @@ def test_euclid_over_fp_matches_sympy(p):
     assert hp.derivative().is_zero()  # a p-th power: f' = 0
     check_euclid_against_sympy(F, lifts(hp), [1, 1])
     assert not is_squarefree(hp)
+
+
+@pytest.mark.parametrize("p", [2, 3, 47, 1009])
+def test_raw_gcd_over_fp_is_the_last_remainder(p):
+    # `_polygcd` is not made monic: it returns the last nonzero remainder of
+    # Euclid, which division with remainder fixes, so sympy's remainders
+    # give the same list; the shared factor keeps some gcds nontrivial
+    rng = random.Random(4000 + p)
+    F = make_field(p)
+    for _ in range(60):
+        c = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+        a, b = ([rng.randrange(p) for _ in range(rng.randrange(0, 12))] for _ in range(2))
+        if rng.randrange(2):
+            a, b = _polymul(a, c, F), _polymul(b, c, F)
+        x, y = to_gf(a), to_gf(b)
+        while y:
+            x, y = y, gf_rem(x, y, p, ZZ)
+        assert _polygcd(a, b, F) == from_gf(x)
 
 
 @pytest.mark.parametrize("p", [2, 5, 1009])
