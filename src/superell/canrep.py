@@ -4,50 +4,40 @@ The holomorphic differentials have basis x^i dx / y^j with 1 <= j <= m-1
 and 0 <= i <= m'j - 2 (m' = (p+1)/m), of size (p-1)(m-1)/2 = genus.  The
 group generated by the vertical root-of-unity map and the SL(2, F_p)
 lifts acts by pullback; all matrices are realized over F_{p^2}, which
-contains the m-th roots of unity because m | p+1.
+contains the m-th roots of unity because m | p+1.  zeta_m acts
+diagonally, and a Moebius lift keeps each j-block, on which it acts as a
+symmetric power of a 2 x 2 matrix (`_sym_power_columns`).
 
-Irreducibility is decided first by a structural certificate
-(`structural_certificate`), which reads only the generators' nonzero
-patterns and checks each premise at runtime:
-
-  * weights: a diagonal generator D and a monomial generator P such that
-    the weights of the basis vectors under the torus of D and its
-    P-conjugates are distinct.  Every submodule is then spanned by basis
-    vectors, so the module is absolutely irreducible iff the union of the
-    generators' support digraphs is strongly connected (Tarjan 1972).
-    The Hermitian plane modules (m = p+1) meet it: their monomials have
-    distinct weights under the scaling and its rotation conjugates.
-  * flag: an upper unitriangular generator with no zero on its
-    superdiagonal, one Jordan block, whose invariant subspaces are the
-    V_k = <e_0..e_(k-1)>.  The module is absolutely irreducible iff every
-    V_k, 0 < k < dim, is moved by some generator.  x -> x + 1 meets it
-    for m = 2.
-
-A certified verdict has commutant dimension 1 by Schur's lemma.  Where no
-premise holds, where one holds but the module is reducible, and for
-dim < 2, the MeatAxe decides (`meataxe_decide`), so every reducible
-verdict and its witness come from it.  A verdict names its route, which
-`rep` prints in its provenance.
+Irreducibility is decided first by certificates that read only the
+generators' residues and check their premises at runtime.  The weight
+and flag premises of `structural_certificate` certify irreducible
+modules: the Hermitian plane modules (m = p+1) and m = 2.  The grading
+premise of `grading_certificate` certifies reducible ones: a diagonal
+generator D with at least two distinct entries, such that every
+generator's nonzero entry (i, j) has D_ii = D_jj, so that each
+eigenspace of D is invariant.  zeta_m meets it for 2 < m < p+1: its
+eigenspaces are the j-blocks, and the witness is the j = 1 block.
+Where no premise decides, and for dim < 2, the MeatAxe decides
+(`meataxe_decide`); no canonical module of dimension >= 2 reaches it.
+A verdict names its route, which `rep` prints in its provenance.
 
 The MeatAxe is seeded: sample elements of the generated matrix
 algebra, read their eigenvalues off the char poly's block split (a
 1 x 1 block is its own eigenvalue; only the larger blocks are scanned
 over the field), spin null vectors through the generators, and certify
 irreducibility with the dual (transposed) spin when the eigenspace is a
-line.  A one-dimensional eigenspace of an
-algebra element also certifies that the commutant is scalar, which
-upgrades the verdict to absolute irreducibility.  The first samples are
-the generators, mostly diagonal or triangular, so the eigen-step reads
-what their structure gives: theta - lam I changes only the diagonal,
-and a diagonal shift's kernel is a set of unit vectors.
+line.  A one-dimensional eigenspace of an algebra element also
+certifies that the commutant is scalar, which upgrades the verdict to
+absolute irreducibility.  The first samples are the generators, so the
+eigen-step reads what their structure gives: theta - lam I changes only
+the diagonal, and a diagonal shift's kernel is a set of unit vectors.
 
 A scalar sample, theta = lam I, says nothing of the module: of its
 eigenspace, the whole space, only the first vector is probed, which
-still finds the submodule span(e_1) when every generator is scalar.
-(m = 2's zeta = -I is the only scalar sample among the canonical
-modules.)  The dual spin reads the generators' packed rows, which are
-the columns of their transposes, so no transposed generator is built;
-a diagonal theta - lam I is its own transpose.
+still finds the submodule span(e_1) when every generator is scalar.  The
+dual spin reads the generators' packed rows, which are the columns of
+their transposes, so no transposed generator is built; a diagonal
+theta - lam I is its own transpose.
 """
 
 from __future__ import annotations
@@ -61,9 +51,9 @@ from operator import mul
 from typing import Optional
 
 from .curve import CurveAutomorphism, InvalidCurveError
-from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _polymul, _power, _prime_divisors, _times,
-                 check_budget, is_prime, lift_to, make_field)
-from .linalg import FieldMatrix, _Rows, _strong_components, _Transpose, is_invariant_subspace, spin
+from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _norm, _polymul, _power, _prime_divisors,
+                 _times, _trim, check_budget, is_prime, lift_to, make_field)
+from .linalg import FieldMatrix, _Rows, _strong_components, _Transpose, _unit_rows, is_invariant_subspace, spin
 from .poly import Polynomial, roots_in_field
 
 
@@ -86,10 +76,10 @@ class DifferentialBasis:
         return self.entries.index((j, i))
 
 
-# A module's generators take about 90 bytes and 1.2 us of CPU per entry,
-# differential basis and plane model alike: m = 2 at p = 2003 (dim 1001)
-# takes 108 MB and 1.2 s, Hermitian p = 47 (dim 1081) 106 MB and 1.3 s, on
-# a 2-CPU x86_64 machine with Python 3.11.  The budget admits dim 1448.
+# Building and deciding a module takes about 90 bytes and 1 us of CPU per
+# entry: m = 2 at p = 2003 (dim 1001) 111 MB and 1.0 s, Hermitian p = 47
+# (dim 1081) 96 MB and 0.95 s, on a 2-CPU x86_64 machine with Python 3.11.
+# The budget admits dim 1448.
 MODULE_ENTRY_BUDGET = 2**21
 
 
@@ -150,12 +140,15 @@ def zeta_of_order(K: FieldDescriptor, m: int):
         candidates = (z.coeffs for z in K.elements() if not z.is_zero())
     h = next(h for h in (_power(K, z, Q // m) for z in candidates)
              if all(_power(K, h, m // r) != one for r in primes))
-    rows, power, first = _mul_matrix(K, h), h, h
-    for t in range(2, m):
-        power = tuple(_times(rows, power, K.p))
-        if gcd(t, m) == 1:
-            first = min(first, power)
-    return FieldElement(K, first)
+    return FieldElement(K, min(tuple(z) for t, z in enumerate(_element_powers(K, h, m)) if gcd(t, m) == 1))
+
+
+def _element_powers(K, c, n):
+    """The residues of c^0, ..., c^(n-1) for c given by its residues."""
+    rows, out = _mul_matrix(K, c), [list(K.one().coeffs)]
+    for _ in range(1, n):
+        out.append(_times(rows, out[-1], K.p))
+    return out
 
 
 def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> FieldMatrix:
@@ -163,59 +156,73 @@ def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> 
 
     Columns are images of basis vectors; composing maps left-to-right
     (CurveAutomorphism.compose) corresponds to the matrix product in the
-    same order.  The matrix is built on int residues.  The zeta map is
-    diagonal, with entry z^(-j) on the x^i dx / y^j row.  A Moebius map has
-    its entries in F_p, so the column of x^i dx / y^j is the F_p polynomial
-    (a x + b)^i (c x + d)^(m' j - 2 - i), a product of two int powers taken
-    once per exponent, written into residue slot 0 of its entries.
+    same order.  The zeta map is diagonal, with entry z^(-j) on the
+    x^i dx / y^j row.  A Moebius map has its entries in F_p: the column of
+    x^i dx / y^j is (a x + b)^i (c x + d)^(m' j - 2 - i), so block j is
+    Sym^(m' j - 2) of a 2 x 2 matrix over F_p, written in residue slot 0.
     """
     if K is None:
         K = make_field(B.p, 2)
-    p, k, dim = K.p, K.k, B.dim
+    p = K.p
     if sigma.kind == "zeta":
         z = sigma.zeta if sigma.zeta.field == K else lift_to(sigma.zeta, K)
-        one = K.one().coeffs
-        if _power(K, z.coeffs, B.m) != one:
+        if _power(K, z.coeffs, B.m) != K.one().coeffs:
             raise InvalidCurveError("zeta is not an m-th root of unity")
-        rows = _mul_matrix(K, _inverse(K, z.coeffs))
-        diagonal = [one]
-        for _ in range(1, B.m):
-            diagonal.append(tuple(_times(rows, diagonal[-1], p)))
-        zeros = (0,) * k
-        return FieldMatrix(K, _Rows(K, [
-            zeros * r + diagonal[j] + zeros * (dim - r - 1) for r, (j, _) in enumerate(B.entries)]))
+        diagonal = _element_powers(K, _inverse(K, z.coeffs), B.m)
+        return _square_matrix(K, B.dim, [(c, c, diagonal[j]) for c, (j, _) in enumerate(B.entries)])
     if sigma.kind != "mobius":
         raise InvalidCurveError(f"unknown automorphism kind {sigma.kind!r}")
-    a, b, c, d = (_prime_field_int(t, p) for t in sigma.abcd)
-    Fp, ax_b, cx_d = K._prime, [[1]], [[1]]
-    for _ in range(B.m_prime * (B.m - 1) - 2):
-        ax_b.append(_polymul(ax_b[-1], [b, a], Fp))
-        cx_d.append(_polymul(cx_d[-1], [d, c], Fp))
-    flat = [0] * (dim * dim * k)
-    start = {}
-    for col, (j, i) in enumerate(B.entries):
-        start.setdefault(j, col)
-        top = B.m_prime * j - 2
-        pol = _polymul(ax_b[i], cx_d[top - i], Fp)
-        if len(pol) - 1 > top:
-            raise AssertionError("pullback left the basis monomial range")
-        for ip, coeff in enumerate(pol):
-            flat[((start[j] + ip) * dim + col) * k] = coeff
-    return _square_matrix(K, flat, dim)
-
-
-def _prime_field_int(t, p: int) -> int:
-    """The int residue of a Moebius entry, which must lie in F_p."""
-    if t.field.p != p or any(t.coeffs[1:]):
+    if any(t.field.p != p or any(t.coeffs[1:]) for t in sigma.abcd):
         raise InvalidCurveError("Moebius entries must lie in the prime field")
-    return t.coeffs[0]
+    a, b, c, d = (t.coeffs[0] for t in sigma.abcd)
+    tops = [B.m_prime * j - 2 for j in range(1, B.m)]
+    pieces, start = [], 0
+    for top, block in zip(tops, _sym_power_columns(_trim([b, a]), _trim([d, c]), tops, K._prime)):
+        # row t of the block holds the X^t coefficients of its columns
+        rows = zip(*[pol + [0] * (top + 1 - len(pol)) for pol in block])
+        pieces += [(start + t, start, row) for t, row in enumerate(rows)]
+        start += top + 1
+    return _square_matrix(K, B.dim, pieces, 1)
 
 
-def _square_matrix(K, flat, dim):
-    """The dim x dim matrix whose entry (r, c) has the k residues at
-    flat[(r dim + c) k:]."""
-    n = dim * K.k
-    return FieldMatrix(K, _Rows(K, [tuple(flat[r:r + n]) for r in range(0, dim * n, n)]))
+def _sym_power_columns(f, g, degrees, K):
+    """The columns of Sym^n, n in degrees, of the 2 x 2 matrix over K that
+    sends the two variables to the linear forms f and g, trimmed flat
+    residue lists in X, the first variable with the second set to 1:
+    column i is f^i g^(n-i), whose X^t coefficient is its entry on the
+    monomial of degree t in X.  Every power is taken once and a column is
+    one product, where no factor is 1: x -> x + 1 and x -> -1/x each send
+    one variable to the constant 1, so their columns are powers.
+    """
+    one = [1] + [0] * (K.k - 1)
+
+    def times(a, b):
+        return b if a == one else a if b == one else _polymul(a, b, K)
+
+    fp, gp = [one], [one]
+    for _ in range(max(degrees, default=0)):
+        fp.append(times(fp[-1], f))
+        gp.append(times(gp[-1], g))
+    return [[times(fp[i], gp[n - i]) for i in range(n + 1)] for n in degrees]
+
+
+def _square_matrix(K, dim, pieces, width=None):
+    """The dim x dim matrix over K with the flat residues vals, `width` per
+    entry (k by default; 1 puts F_p residues in slot 0), along row r from
+    column c on, for each (r, c, vals) in pieces, and zeros elsewhere.
+    Each row is filled in a list of its own, which measured about twice
+    as fast as slicing one dim^2 list into rows."""
+    k, width = K.k, width or K.k
+    by_row = [[] for _ in range(dim)]
+    for r, c, vals in pieces:
+        by_row[r].append((c * k, vals))
+    zero, out = [0] * (dim * k), []
+    for row_pieces in by_row:
+        row = zero.copy()
+        for s, vals in row_pieces:
+            row[s:s + len(vals) // width * k:k // width] = vals
+        out.append(tuple(row))
+    return FieldMatrix(K, _Rows(K, out))
 
 
 def sl2_generators(p: int):
@@ -245,7 +252,7 @@ def canonical_module(p: int, m: int) -> RepresentationModule:
     zeta = zeta_of_order(K, m)
     zmap = CurveAutomorphism.root_of_unity(zeta, m)
     t, s = sl2_generators(p)
-    gens = tuple(generator_matrix(B, g, K) for g in (zmap, t, s))
+    gens = tuple([generator_matrix(B, g, K) for g in (zmap, t, s)])
     labels = ("zeta_m", "x -> x + 1", "x -> -1/x")
     return RepresentationModule(p=p, m=m, field=K, dim=B.dim, generators=gens, labels=labels)
 
@@ -255,45 +262,6 @@ def _monomials(degree: int):
     return [(a, b, degree - a - b) for a in range(degree, -1, -1) for b in range(degree - a, -1, -1)]
 
 
-def _substitution_matrix(K, monos, lin_forms):
-    """Matrix of x0^a x1^b x2^c -> l0^a l1^b l2^c on the monomial basis.
-
-    lin_forms[i] is the residue triple of the linear form replacing x_i.
-    Trivariate products are expanded on residues, in dictionaries from
-    exponent triples to residue tuples.
-    """
-    p, k = K.p, K.k
-    idx = {mono: r for r, mono in enumerate(monos)}
-
-    def product(f, g):
-        out = {}
-        for e1, c1 in f.items():
-            rows = _mul_matrix(K, c1)
-            for e2, c2 in g.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                c = _times(rows, c2, p)
-                prev = out.get(key)
-                out[key] = c if prev is None else [(s + t) % p for s, t in zip(prev, c)]
-        return {e: c for e, c in out.items() if any(c)}
-
-    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    degree = sum(monos[0])
-    powers = []
-    for coeffs in lin_forms:
-        form = {unit[var]: c for var, c in enumerate(coeffs) if any(c)}
-        row = [{(0, 0, 0): (1,) + (0,) * (k - 1)}]
-        for _ in range(degree):
-            row.append(product(row[-1], form))
-        powers.append(row)
-    dim = len(monos)
-    flat = [0] * (dim * dim * k)
-    for col, (a, b, c) in enumerate(monos):
-        for key, val in product(product(powers[0][a], powers[1][b]), powers[2][c]).items():
-            start = (idx[key] * dim + col) * k
-            flat[start:start + k] = val
-    return _square_matrix(K, flat, dim)
-
-
 def hermitian_plane_module(p: int) -> RepresentationModule:
     """Canonical representation of the full automorphism group of the
     maximal-genus member (m = p+1), via the smooth plane model.
@@ -301,56 +269,63 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
     The holomorphic differentials of a smooth plane curve of degree p+1
     are the degree-(p-2) forms; linear substitutions preserving the
     x0^(p+1) + x1^(p+1) + x2^(p+1) defining polynomial act on them.
-    Generators: a scaling of exact order p+1, the coordinate rotation
-    and swap, and a two-coordinate unitary mixer; character twists are
-    omitted since they do not move invariant subspaces.
+    Generators: the diagonal scaling x0 -> zeta x0 of order p+1, the
+    coordinate rotation and swap, which permute the monomials, and a
+    unitary mixer of x0 and x1, whose block on the monomials of x2-degree c
+    is Sym^(p-2-c) of a 2 x 2 matrix.  Character twists are omitted since
+    they do not move invariant subspaces.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_budget(*module_estimate(p, p + 1))
     K = make_field(p, 2)
-    monos = _monomials(p - 2)
-    one, zero = K.one().coeffs, K.zero().coeffs
-    zeta = zeta_of_order(K, p + 1).coeffs
-    gens3 = []
-    gens3.append(("scaling", [[zeta, zero, zero], [zero, one, zero], [zero, zero, one]]))
-    gens3.append(("rotation", [[zero, one, zero], [zero, zero, one], [one, zero, zero]]))
-    gens3.append(("swap", [[zero, one, zero], [one, zero, zero], [zero, zero, one]]))
+    n, k = p - 2, K.k
+    monos = _monomials(n)
+    dim = len(monos)
+    assert dim == (p - 1) * p // 2, "monomial count disagrees with the genus"
+    index = {mono: r for r, mono in enumerate(monos)}
+    one = K.one().coeffs
+    zeta_powers = _element_powers(K, zeta_of_order(K, p + 1).coeffs, n + 1)
+    mats = [_square_matrix(K, dim, [(r, r, zeta_powers[a]) for r, (a, _, _) in enumerate(monos)]),
+            _square_matrix(K, dim, [(index[(c, a, b)], r, one) for r, (a, b, c) in enumerate(monos)]),
+            _square_matrix(K, dim, [(index[(b, a, c)], r, one) for r, (a, b, c) in enumerate(monos)])]
+    labels = [f"plane-model {label}" for label in ("scaling", "rotation", "swap", "mixer")]
     pair = _unit_norm_pair(K, p)
     # p = 2 has no pair: u^3 + v^3 = 1 in F_4 forces u = 0 or v = 0, since
     # every nonzero cube is 1; the module is then one-dimensional and the
     # other generators suffice
     if pair is not None:
+        # x0 -> u x0 - v^p x1 and x1 -> v x0 + u^p x1
         u, v = (t.coeffs for t in pair)
-        minus_vp = tuple(-c % p for c in _power(K, v, p))
-        gens3.append(("mixer", [[u, minus_vp, zero], [v, _power(K, u, p), zero], [zero, zero, one]]))
-    mats = tuple(_substitution_matrix(K, monos, [tuple(row) for row in rows]) for _, rows in gens3)
-    labels = tuple(f"plane-model {label}" for label, _ in gens3)
-    dim = len(monos)
-    assert dim == (p - 1) * p // 2, "monomial count disagrees with the genus"
-    return RepresentationModule(p=p, m=p + 1, field=K, dim=dim, generators=mats, labels=labels)
+        minus_vp = [-c % p for c in _power(K, v, p)]
+        blocks = _sym_power_columns(minus_vp + list(u), list(_power(K, u, p) + v), range(n + 1), K)
+        pieces = []
+        for c in range(n + 1):
+            # the monomials x0^t x1^(d-t) x2^c, whose column t is f^t g^(d-t)
+            d = n - c
+            block = [index[(t, d - t, c)] for t in range(d + 1)]
+            for col, pol in zip(block, blocks[d]):
+                pieces += [(r, col, pol[i:i + k]) for r, i in zip(block, range(0, len(pol), k))]
+        mats.append(_square_matrix(K, dim, pieces))
+    return RepresentationModule(p=p, m=p + 1, field=K, dim=dim, generators=tuple(mats),
+                                labels=tuple(labels[:len(mats)]))
 
 
 def _unit_norm_pair(K, p: int):
-    """Deterministic u, v in K with u^(p+1) + v^(p+1) = 1, both nonzero;
-    None when no such pair exists."""
-    one = K.one().coeffs
-    for u in K.elements():
-        if u.is_zero():
-            continue
-        target = tuple((a - b) % p for a, b in zip(one, _power(K, u.coeffs, p + 1)))
-        if not any(target):
-            continue
-        for v in K.elements():
-            if not v.is_zero() and _power(K, v.coeffs, p + 1) == target:
-                return u, v
-    return None
+    """Deterministic u, v in K, both nonzero, with N(u) + N(v) = 1 for the norm N(x) = x^(p+1): the
+    first u in `elements()` order that has a v, and its first v; None when no such pair exists."""
+    units = [z for z in K.elements() if not z.is_zero()]
+    first = {}
+    for v in units:
+        first.setdefault(_norm(K, v.coeffs), v)
+    return next(((u, first[t]) for u in units for t in [(1 - _norm(K, u.coeffs)) % p] if t in first), None)
 
 
 # the routes a verdict can take, as `rep` names them in its provenance
 MEATAXE_ROUTE = "meataxe-dual-spin-certificate"
 WEIGHT_ROUTE = "torus-weight-connectivity-certificate"
 FLAG_ROUTE = "unipotent-flag-certificate"
+GRADING_ROUTE = "diagonal-grading-certificate"
 
 
 @dataclass(frozen=True)
@@ -363,9 +338,9 @@ class IrreducibilityVerdict:
 
 
 def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 200) -> IrreducibilityVerdict:
-    """The structural certificate where its premises hold, else the seeded
-    MeatAxe (`meataxe_decide`), which gives every reducible verdict."""
-    return structural_certificate(R) or meataxe_decide(R, seed, budget)
+    """The structural certificate where its premises hold, else the grading
+    certificate, else the seeded MeatAxe (`meataxe_decide`)."""
+    return structural_certificate(R) or grading_certificate(R) or meataxe_decide(R, seed, budget)
 
 
 def structural_certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
@@ -391,6 +366,32 @@ def structural_certificate(R: RepresentationModule) -> Optional[IrreducibilityVe
             return IrreducibilityVerdict("absolutely-irreducible", None, 1, WEIGHT_ROUTE)
     elif any(map(_is_jordan_block, gens)) and _moves_every_flag_member(gens):
         return IrreducibilityVerdict("absolutely-irreducible", None, 1, FLAG_ROUTE)
+    return None
+
+
+def grading_certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
+    """Reducibility of R from a grading that every generator keeps, without
+    sampling, or None when the premise fails.
+
+    Premise: a diagonal generator D with at least two distinct entries, such
+    that every generator's nonzero entry (i, j) has D_ii = D_jj.  Then each
+    eigenspace of D is a proper submodule; the witness is that of D_00,
+    re-checked by `is_invariant_subspace`.  A row of grade g is zero off
+    the runs of columns of grade g when its zeros and its nonzero residues
+    on those runs fill it, which counts each entry once at C speed.
+    """
+    k, n, gens = R.field.k, R.dim * R.field.k, R.generators
+    diagonal = [G._is_diagonal() for G in gens]
+    for D in itertools.compress(gens, diagonal):
+        grade = [row[i * k:i * k + k] for i, row in enumerate(D._rows)]
+        spans, start = {}, 0
+        for g, run in itertools.groupby(grade):
+            spans.setdefault(g, []).append((start, start + len(list(run)) * k))
+            start = spans[g][-1][1]
+        if len(spans) > 1 and all(row.count(0) + sum(b - a - row[a:b].count(0) for a, b in spans[g]) == n
+                                  for G, d in zip(gens, diagonal) if not d for row, g in zip(G._rows, grade)):
+            block = [i for i, g in enumerate(grade) if g == grade[0]]
+            return _reducible(R.field, _unit_rows(R.field, R.dim, block), gens, GRADING_ROUTE)
     return None
 
 
@@ -526,7 +527,7 @@ def _roots_with_multiplicity(field, blocks):
     mults = {}
     for block in blocks:
         if len(block) == 2 * k:
-            lam = tuple(-c % p for c in block[:k])
+            lam = tuple([-c % p for c in block[:k]])
             mults[lam] = mults.get(lam, 0) + 1
             continue
         coeffs = [block[i:i + k] for i in range(0, len(block), k)]
@@ -577,11 +578,11 @@ def _norton_decide(field, dim, shifted, null, gens):
     return IrreducibilityVerdict("absolutely-irreducible", None, 1)
 
 
-def _reducible(field, basis_rows, gens) -> IrreducibilityVerdict:
+def _reducible(field, basis_rows, gens, route=MEATAXE_ROUTE) -> IrreducibilityVerdict:
     if not is_invariant_subspace(basis_rows, gens):
         raise AssertionError("witness failed the invariance rank test")
     witness = FieldMatrix.from_columns(field, basis_rows)
-    return IrreducibilityVerdict("reducible", witness, None)
+    return IrreducibilityVerdict("reducible", witness, None, route)
 
 
 def _sample_algebra_element(rng, pool, gens, field, attempt):
@@ -601,25 +602,15 @@ def _sample_algebra_element(rng, pool, gens, field, attempt):
 
 
 def explicit_invariant_subspace(B: DifferentialBasis) -> FieldMatrix:
-    """Coordinate inclusion of the j = 1 block, verified invariant.
-
-    Defined for 2 < m < p+1: the block is nonzero (m' >= 2) and proper
-    (at least one other j-block exists).
+    """Coordinate inclusion of the j = 1 block, the eigenspace of zeta_m
+    that `grading_certificate` gives as its witness for the canonical
+    module of B and checks invariant there.  Defined for 2 < m < p+1: the
+    block is nonzero (m' >= 2) and proper (another j-block exists).
     """
     if not (2 < B.m < B.p + 1):
         raise ValueError("invariant j=1 block applies for 2 < m < p+1 only")
     K = make_field(B.p, 2)
-    width = B.m_prime - 1
-    zero, one = K.zero(), K.one()
-    cols = []
-    for c in range(width):
-        col = [zero] * B.dim
-        col[B.index(1, c)] = one
-        cols.append(col)
-    module = canonical_module(B.p, B.m)
-    if not is_invariant_subspace([tuple(c) for c in cols], list(module.generators)):
-        raise AssertionError("j=1 block failed the invariance check")
-    return FieldMatrix.from_columns(K, cols)
+    return FieldMatrix.from_columns(K, _unit_rows(K, B.dim, range(B.m_prime - 1)))
 
 
 @dataclass(frozen=True)
@@ -647,8 +638,8 @@ def divisor_table(p: int, m: int) -> DivisorTable:
         raise ValueError(f"m = {m} is not a divisor >= 2 of p + 1")
     g = (p - 1) * (m - 1) // 2
     div_x = (("(0,0)", m), ("infinity", -m))
-    div_y = tuple((f"({a},0)", 1) for a in range(p)) + (("infinity", -p),)
-    div_dx = tuple((f"({a},0)", m - 1) for a in range(p)) + (("infinity", -(m + 1)),)
+    div_y = tuple([(f"({a},0)", 1) for a in range(p)]) + (("infinity", -p),)
+    div_dx = tuple([(f"({a},0)", m - 1) for a in range(p)]) + (("infinity", -(m + 1)),)
     for div in (div_x, div_y):
         assert sum(mult for _, mult in div) == 0, "principal divisor has degree != 0"
     kdeg = p * m - p - m - 1

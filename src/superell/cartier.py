@@ -89,7 +89,7 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
                       for i in range(1, g + 1) for n in range(p * i - 1, p * i - g - 1, -1))
     entries = _fold(_slots(window, w), F)
     rows = [tuple(entries[i * g * k:(i + 1) * g * k]) for i in range(g)]
-    labels = tuple(f"y/x^{i}" for i in range(1, g + 1))
+    labels = tuple([f"y/x^{i}" for i in range(1, g + 1)])
     return HasseWittMatrix(matrix=FieldMatrix(F, _Rows(F, rows)), genus=g, basis_labels=labels)
 
 

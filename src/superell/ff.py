@@ -28,7 +28,7 @@ reduces the k - 1 high slots of each coefficient through `_reductions` and
 takes every residue mod p; for k = 1 it is the reduction mod p alone.
 
 A primitive element of F_q is found through its norm, which rejects most
-candidates with one k x k determinant.
+candidates with one k x k determinant, in closed form for k = 2.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ class FieldDescriptor:
         elif modulus is None:
             self.modulus = _smallest_irreducible(self._prime, k)
         else:
-            modulus = tuple(c % p for c in modulus)
+            modulus = tuple([c % p for c in modulus])
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
             if not _is_irreducible(list(modulus), self._prime):
@@ -477,19 +477,19 @@ class FieldElement:
         self._check(other)
         p = self.field.p
         return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+            self.field, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __sub__(self, other):
         self._check(other)
         p = self.field.p
         return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
+            self.field, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __neg__(self):
         p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.field, tuple([(-a) % p for a in self.coeffs]))
 
     def __mul__(self, other):
         self._check(other)
@@ -575,7 +575,7 @@ def _residues(field, values):
 def _elements(field, flat):
     """The FieldElement tuple of a flat residue vector."""
     k = field.k
-    return tuple(FieldElement(field, tuple(flat[i:i + k])) for i in range(0, len(flat), k))
+    return tuple([FieldElement(field, tuple(flat[i:i + k])) for i in range(0, len(flat), k)])
 
 
 def _mul_matrix(K, c):
@@ -643,8 +643,12 @@ def _eliminate(K, rows):
 
 
 def _norm(K, c):
-    """The norm N(c) = c^((q-1)/(p-1)) in F_p of c given by its residues:
-    the determinant of y -> c y, by elimination on its k x k matrix."""
+    """The norm N(c) = c^((q-1)/(p-1)) in F_p of c given by its residues: the
+    determinant of y -> c y, by elimination on its k x k matrix, or for k = 2
+    and x^2 = c0 + c1 x, v0^2 + c1 v0 v1 - c0 v1^2 for c = v0 + v1 x."""
+    if K.k == 2:
+        (c0, c1), (v0, v1) = K._reductions[0], c
+        return (v0 * v0 + c1 * v0 * v1 - c0 * v1 * v1) % K.p
     return _eliminate(K, [list(r) for r in _mul_matrix(K, c)])[0]
 
 
@@ -768,7 +772,7 @@ class _LogTables:
     def element(self, i: int) -> "FieldElement":
         """g^i as a field element."""
         K, s, packed = self.field, self.s, self.exp[i % (self.field.order - 1)]
-        return FieldElement(K, tuple(packed >> s * u & ((1 << s) - 1) for u in range(K.k)))
+        return FieldElement(K, tuple([packed >> s * u & ((1 << s) - 1) for u in range(K.k)]))
 
     def __iter__(self):
         """log f(0), then log f(g^i) for i = 0..q-2; -1 where f vanishes.

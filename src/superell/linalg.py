@@ -74,7 +74,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import mul
 
 from .ff import (_ARRAY_CODES, FieldDescriptor, FieldElement, FieldMismatchError, _apply, _binary_power, _elements,
@@ -186,6 +186,12 @@ class _Rows(Sequence):
         return repr(list(self))
 
 
+def _unit_rows(field, n, indices):
+    """The unit vectors e_i, i in indices, of field^n as flat residue rows."""
+    k = field.k
+    return _Rows(field, [(0,) * (i * k) + (1,) + (0,) * ((n - i) * k - 1) for i in indices])
+
+
 def _residue_rows(field, vectors):
     if isinstance(vectors, _Rows) and vectors.field == field:
         return vectors.residues
@@ -196,7 +202,7 @@ class FieldMatrix:
     __slots__ = ("field", "nrows", "ncols", "_rows", "_packed")
 
     def __init__(self, field: FieldDescriptor, rows):
-        fixed = tuple(tuple(r) for r in _residue_rows(field, rows))
+        fixed = tuple([tuple(r) for r in _residue_rows(field, rows)])
         if any(len(r) != len(fixed[0]) for r in fixed):
             raise ValueError("ragged matrix rows")
         self.field = field
@@ -209,8 +215,7 @@ class FieldMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        k = field.k
-        return cls(field, _Rows(field, [(0,) * (i * k) + (1,) + (0,) * ((n - i) * k - 1) for i in range(n)]))
+        return cls(field, _unit_rows(field, n, range(n)))
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -227,7 +232,7 @@ class FieldMatrix:
     @property
     def rows(self):
         """The rows as tuples of FieldElements."""
-        return tuple(_elements(self.field, r) for r in self._rows)
+        return tuple([_elements(self.field, r) for r in self._rows])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -236,7 +241,7 @@ class FieldMatrix:
         return FieldElement(self.field, row[j * k:j * k + k])
 
     def column(self, j):
-        return tuple(self[i, j] for i in range(self.nrows))
+        return tuple([self[i, j] for i in range(self.nrows)])
 
     def columns(self):
         return list(self.transpose().rows)
@@ -283,13 +288,13 @@ class FieldMatrix:
         self._check(other)
         p = self.field.p
         return FieldMatrix(self.field, _Rows(self.field, [
-            tuple((a + b) % p for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)]))
+            tuple([(a + b) % p for a, b in zip(r, s)]) for r, s in zip(self._rows, other._rows)]))
 
     def __sub__(self, other):
         self._check(other)
         p = self.field.p
         return FieldMatrix(self.field, _Rows(self.field, [
-            tuple((a - b) % p for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)]))
+            tuple([(a - b) % p for a, b in zip(r, s)]) for r, s in zip(self._rows, other._rows)]))
 
     def scale(self, c) -> "FieldMatrix":
         return self._apply_entrywise(_mul_matrix(self.field, _residues(self.field, (c,))))
@@ -301,14 +306,11 @@ class FieldMatrix:
             cols = self._packed[w] = _packed_lines(self.field, self._rows, w, columns=True)
         return cols
 
-    def _product(self, v, w):
-        """M v packed with w-byte slots, for v a flat residue vector."""
-        return sum(map(mul, v, self._columns_packed(w)))
-
     def _reduced_product(self, v):
+        """M v for v a flat residue vector, as residues."""
         F = self.field
         w = _slot_bytes(self.ncols * F.k * (F.p - 1) ** 2)
-        return [c % F.p for c in _unpack(self._product(v, w), self.nrows * F.k, w)]
+        return [c % F.p for c in _unpack(sum(map(mul, v, self._columns_packed(w))), self.nrows * F.k, w)]
 
     def __matmul__(self, other):
         self._check(other)
@@ -348,19 +350,16 @@ class FieldMatrix:
         return len(self._echelon()[1])
 
     def _is_diagonal(self) -> bool:
-        """A square matrix whose off-diagonal entries are all zero."""
-        k = self.field.k
-        return self.nrows == self.ncols and not any(
-            any(row[:i * k]) or any(row[i * k + k:]) for i, row in enumerate(self._rows))
+        """A square matrix whose off-diagonal entries are all zero, by each row's zeros, counted at C speed."""
+        k, n = self.field.k, self.ncols * self.field.k
+        return self.nrows == self.ncols and all(
+            row.count(0) - row[i * k:i * k + k].count(0) == n - k for i, row in enumerate(self._rows))
 
     def nullspace(self):
         """Deterministic basis of the right kernel, as coordinate tuples."""
         p, k, n = self.field.p, self.field.k, self.ncols
         if self._is_diagonal():
-            # diagonal: the unit vectors at the zero diagonal entries, which
-            # is the basis the reduced row echelon form gives
-            return _Rows(self.field, [(0,) * (i * k) + (1,) + (0,) * ((n - i) * k - 1)
-                                      for i, row in enumerate(self._rows) if not any(row[i * k:i * k + k])])
+            return _unit_rows(self.field, n, [i for i, row in enumerate(self._rows) if not any(row[i * k:i * k + k])])
         rows, pivots = self._echelon()
         pivot_set = set(pivots)
         basis = []
@@ -431,7 +430,7 @@ class FieldMatrix:
         p, k = F.p, F.k
         c = _residues(F, (c,))
         return FieldMatrix(F, _Rows(F, [
-            row[:i * k] + tuple((a - b) % p for a, b in zip(row[i * k:i * k + k], c)) + row[i * k + k:]
+            row[:i * k] + tuple([(a - b) % p for a, b in zip(row[i * k:i * k + k], c)]) + row[i * k + k:]
             for i, row in enumerate(self._rows)]))
 
     def _adjacency(self):
@@ -621,7 +620,7 @@ class _EchelonAccumulator:
     def basis(self):
         """The rows as flat residue tuples, in insertion order."""
         p, k, w = self.field.p, self.field.k, self.w
-        return [tuple(c % p for c in _unpack(X, self.length * k, w)) for X in self.flat[::k]]
+        return [tuple([c % p for c in _unpack(X, self.length * k, w)]) for X in self.flat[::k]]
 
 
 def _square(field, n, mats):
@@ -660,14 +659,20 @@ def spin(field: FieldDescriptor, seeds, mats):
 
 
 def is_invariant_subspace(basis_rows, mats) -> bool:
-    """True when every image M w reduces to zero against span(W)."""
+    """True when every image M w reduces to zero against span(W).  M w
+    reads the columns of M from the first to the last in which some w is
+    nonzero, so a span of a few neighbouring unit vectors packs a few."""
     if not basis_rows or not mats:
         return True
-    F = mats[0].field
+    F, k = mats[0].field, mats[0].field.k
     rows = _residue_rows(F, basis_rows)
-    n = len(rows[0]) // F.k
+    n = len(rows[0]) // k
     _square(F, n, mats)
-    acc = _EchelonAccumulator(F, n, n * F.k * (F.p - 1) ** 2)
+    acc = _EchelonAccumulator(F, n, n * k * (F.p - 1) ** 2)
     for r in rows:
         acc.insert(_pack(r, acc.w))
-    return all(not any(acc.residual(m._product(r, acc.w))) for m in mats for r in rows)
+    lo = min(next(compress(count(), r), len(r)) for r in rows) // k * k
+    hi = -(-max(len(r) - next(compress(count(), reversed(r)), len(r)) for r in rows) // k) * k
+    return all(not any(acc.residual(sum(map(mul, r[lo:hi], cols))))
+               for cols in (_packed_lines(F, [row[lo:hi] for row in m._rows], acc.w, columns=True) for m in mats)
+               for r in rows)

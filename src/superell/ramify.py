@@ -28,7 +28,7 @@ class CoverProfile:
             raise ValueError("group order must be positive")
         if self.base_genus < 0:
             raise ValueError("base invariant must be non-negative")
-        pts = tuple((int(e), int(d)) for e, d in self.ram_points)
+        pts = tuple([(int(e), int(d)) for e, d in self.ram_points])
         object.__setattr__(self, "ram_points", pts)
         for e, d in pts:
             if e < 1:
@@ -39,7 +39,7 @@ class CoverProfile:
                 raise ValueError(f"e = {e} does not divide |G| = {self.group_order}")
 
     def tame_flags(self):
-        return tuple(d == e - 1 for e, d in self.ram_points)
+        return tuple([d == e - 1 for e, d in self.ram_points])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 
 from superell.canrep import (
     FLAG_ROUTE,
+    GRADING_ROUTE,
     MEATAXE_ROUTE,
     WEIGHT_ROUTE,
     IrreducibilityVerdict,
@@ -20,6 +22,7 @@ from superell.canrep import (
     explicit_invariant_subspace,
     _monomials,
     generator_matrix,
+    grading_certificate,
     hermitian_plane_module,
     meataxe_decide,
     module_estimate,
@@ -249,6 +252,55 @@ def test_generator_matrix_takes_prime_field_entries_only():
     with pytest.raises(InvalidCurveError):
         # (1 + x)^4 = -4 in F_49 = F_7[x]/(x^2 + 1)
         generator_matrix(B, CurveAutomorphism("zeta", zeta=K.element([1, 1]), order_m=4), K)
+
+
+# sha256 of the labels and residue rows of every generator of
+# canonical_module(p, m), recorded from the builders the symmetric-power
+# columns replaced: per-coefficient Moebius columns and the plane model's
+# trivariate substitutions expanded on dicts
+GENERATORS = {
+    (2, 3): "a89e97a5c51c8ec04f6150531fceaa715e99fbae9799b3ba97220c0dcadf37ab",
+    (3, 2): "8a5fcbe255494948fce58a262217f967ee40417b6522abf69bcf16ae7f1ab88e",
+    (3, 4): "9beb035c2c10c73de68b6d2db92252925bf1c412d446e799fc2b3453e29ba931",
+    (5, 2): "1be42f966f01e41fb3fab4865dd2c683ea4b9cc53c2b15cef2339a79be1ef78d",
+    (5, 3): "9f0706458bb144f1e14152e768128dec59be677fa7b197f786538b48a7b1800f",
+    (5, 6): "3da71b99e55772b2163b574bf0e2ab1c81cf67ab71a9cda7b77fbf9851cb55f7",
+    (7, 2): "b6dceb250c9e0481c5a3a6c27c723cda99bc7153ee01f106cb7feb60403ed047",
+    (7, 4): "0c3df4b4f10a703eb50384d8e5efe98cb36834f9fde7423d11064d0238dd38a1",
+    (7, 8): "357f3f7257776339f1c0501fcbdee38d1886ace31eb5fa9119e3f2814fd955fb",
+    (11, 2): "bdc50595392869cd41166079292d000bfa063c626c22eab0aea66aa479b58973",
+    (11, 3): "c73d38430e85fb8ec1caa68f803ff824a0eff00e10ff18cc58cff8a6a209d015",
+    (11, 4): "cd5e41f3f7d7269b6c69eaaae56d4fb54b469721ae9baf2933c73122fcc335fc",
+    (11, 6): "31b749701d41e783c6919449ff99c765d998a739417c8940a17b81d53ba12fdc",
+    (11, 12): "da2135a3a8e4f479aa0bc4f21356289ef4801a6263d9d223540accf6cf62dbfd",
+    (13, 2): "876839ac406c6dfd31a30c3c85a0c829c07da7a8e2b1c47676409d46668b3f20",
+    (13, 7): "afb968efdd1db8ba5af7512ea67ec2555ad08fe375e80e2102683ad6cef6dcc6",
+    (13, 14): "3d632222cc51d47238064db10e18da2a767568147d30b047df0cd9e7e9e68864",
+    (17, 2): "58f79345c44c30cf627209468e0fb498d0b41903dc4992f24046f618f73d0a2d",
+    (17, 3): "3514ecdbd5ca9b7f86b57d02620e9e0b2cb3a550371edda19a1281207506ab2a",
+    (17, 6): "9b1e6867945c2075f72b69e210560fed86abb6115dc58ec6412851b489e1996c",
+    (17, 9): "3efcb114bdc1b1c5463b97d832811a7ad0d1019d3a75738b068ed57ca4aff772",
+    (17, 18): "d48bbd5d36d8f0f9df5e131c15147119e18cf082a3f1f6db86ebec2519d1ad3b",
+    (19, 2): "c5975b7251b701eb95b13a11ad7c111fd84bd778b4a68006eb37db100fb74033",
+    (19, 4): "4ec03a473f574a511eef18632ed2708fe7ac857746e5e47ad0371c5cd31b784c",
+    (19, 5): "7bc6bb444142efd30e1b77b5324ac94e0fdd8d1e6939847c6c416203f11a2d88",
+    (19, 10): "cda8fa42c09dc5d4973bff7f882d557f068446512a420ebc878755267da28f1b",
+    (19, 20): "391ad316d72def078d3d4cf7fe3895fc02d50502c044a353c7df53de030fdc00",
+    (23, 2): "bd4ae2d0d487cb565fa7739c870702b27ef9386c8ac99f34834da9b8b2f486b4",
+    (23, 3): "75b953c07f06ba49355b43a78fdb9a9cce317e84d236eeb5275f57c6f0d496f0",
+    (23, 4): "12fb05392fa202ddc09eddce4636d367870ca2ddd5d261d749610414ba5af5f4",
+    (23, 6): "de1f8875574595a4bc3595c7e885a1329a8c1e239dd80ad816ebae861d47b702",
+    (23, 8): "218086531025cd713cea01dcf0cf8dbb5914e49cc2ed0d54fd792beae471d367",
+    (23, 12): "f9417bbb55cbb38fd4c948d87816644776de990d6ae1a60665d0e549ea89f950",
+    (23, 24): "7c7324b84d034f682a6d5d0f857a1f2256921c4d200fc0404182421110427df1",
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(GENERATORS))
+def test_module_generators_are_pinned(p, m):
+    R = canonical_module(p, m)
+    rows = repr([(label, G._rows) for label, G in zip(R.labels, R.generators)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == GENERATORS[(p, m)]
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (7, 4), (7, 8)])
@@ -508,6 +560,50 @@ def test_a_premise_that_holds_on_a_reducible_module_leaves_it_to_the_meataxe(row
     assert v == meataxe_decide(R)
     assert (v.verdict, v.route) == ("reducible", MEATAXE_ROUTE)
     assert is_invariant_subspace(v.witness.columns(), list(R.generators))
+
+
+@pytest.mark.parametrize("p,m", [(2, 3)] + all_divisor_params(23))
+def test_grading_certificate_agrees_with_the_meataxe(p, m):
+    R = canonical_module(p, m)
+    cert, v = grading_certificate(R), meataxe_decide(R)
+    if m in (2, p + 1):
+        # m = 2: zeta = -I has one eigenvalue; m = p + 1: the rotation
+        # moves the scaling's eigenspaces; dimension 1 has one eigenvalue
+        assert cert is None
+        return
+    assert cert == IrreducibilityVerdict("reducible", cert.witness, None)
+    assert (cert.route, v.verdict) == (GRADING_ROUTE, "reducible")
+    # the MeatAxe finds the same unit vectors, listed in spin order
+    assert set(cert.witness.columns()) == set(v.witness.columns())
+    assert cert.witness == explicit_invariant_subspace(build_basis(p, m))
+    decided = decide_irreducibility(R)
+    assert (decided, decided.route) == (cert, GRADING_ROUTE)
+
+
+def test_grading_certificate_decides_small_modules():
+    # the grades {0, 2} and {1} are not runs of neighbouring columns
+    R = small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 1]], [[0, 0, 1], [0, 3, 0], [1, 0, 0]])
+    v = grading_certificate(R)
+    assert (v.verdict, v.endo_dim, v.route) == ("reducible", None, GRADING_ROUTE)
+    assert v.witness == FieldMatrix(make_field(7), [[1, 0], [0, 0], [0, 1]])
+    assert meataxe_decide(R).verdict == "reducible"
+    # the second generator's entry (0, 1) joins two grades
+    assert grading_certificate(small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+                                            [[0, 1, 1], [0, 3, 0], [1, 0, 0]])) is None
+    # a scalar D has one grade
+    assert grading_certificate(small_module(7, [[2, 0], [0, 2]], [[0, 1], [1, 0]])) is None
+
+
+def test_grading_certificate_decides_the_largest_reducible_module_faster_than_it_is_built():
+    # (71, 36), dim 1225: the MeatAxe took about five times the build
+    start = time.process_time()
+    R = canonical_module(71, 36)
+    built = time.process_time() - start
+    start = time.process_time()
+    v = decide_irreducibility(R)
+    decided = time.process_time() - start
+    assert (v.verdict, v.route, v.witness.ncols) == ("reducible", GRADING_ROUTE, 1)
+    assert decided < built, f"built in {built:.2f} s, decided in {decided:.2f} s of CPU"
 
 
 @pytest.mark.parametrize("p,m", [(2003, 2), (47, 48)])

@@ -134,7 +134,7 @@ def test_rep_hermitian_p_31_takes_under_two_seconds(capsys):
 
 def test_rep_json_names_the_route_of_its_verdict(capsys):
     routes = {(7, 2): "unipotent-flag-certificate", (5, 6): "torus-weight-connectivity-certificate",
-              (5, 3): "meataxe-dual-spin-certificate", (2, 3): "meataxe-dual-spin-certificate"}
+              (5, 3): "diagonal-grading-certificate", (2, 3): "meataxe-dual-spin-certificate"}
     for (p, m), route in routes.items():
         _, rep, _ = run_json(capsys, ["rep", "--p", str(p), "--m", str(m)])
         assert rep["provenance"] == ["holomorphic-differential-basis", "pullback-generator-matrices", route]

@@ -3,12 +3,16 @@ module and seed.
 
 The hashes pin `meataxe_decide` and `decide_irreducibility` byte for
 byte: a change to the eigen-step (char poly, root order, null vectors,
-spins) or to the structural certificate that moved any verdict or
-witness fails here.  The canonical modules cover every (p, m)
+spins) or to the structural and grading certificates that moved any
+verdict or witness fails here.  The canonical modules cover every (p, m)
 with m | p + 1 and p <= 23, Hermitian included.  Their first samples are
 generators, which decide every one of them, so the seeds agree; the
 conjugated sums below have generators without eigenvalues in the field,
 so their verdicts come from the seeded random samples.
+`decide_irreducibility` decides the reducible canonical modules by the
+grading certificate, whose witness is the j = 1 block: the subspace the
+MeatAxe finds, with its unit vectors in ascending order where the
+MeatAxe lists them in spin order (`GRADED`).
 Regenerate a hash only for a deliberate change of output, and say so.
 """
 
@@ -17,8 +21,8 @@ import random
 
 import pytest
 
-from superell.canrep import (RepresentationModule, canonical_module, decide_irreducibility, meataxe_decide,
-                             structural_certificate)
+from superell.canrep import (RepresentationModule, canonical_module, decide_irreducibility, grading_certificate,
+                             meataxe_decide, structural_certificate)
 from superell.ff import make_field
 from superell.linalg import FieldMatrix
 from superell.poly import roots_in_field
@@ -66,6 +70,19 @@ CANONICAL = {
 }
 
 
+# decide_irreducibility's hash where the grading witness orders the j = 1
+# block's unit vectors differently from the MeatAxe's spin
+GRADED = {
+    (11, 3): "6686969d93ad2256dd195af48857b66f6af02f0ce5c678ecec0cfb6997469475",
+    (17, 3): "3a565941e27dab474772669d2bcfeccab3e08a243ef73f0a2bed9891fda3f9ae",
+    (19, 4): "77155013675b7bfe973f03a75c150f4570cfa5a4f5891c264707c423b835da62",
+    (19, 5): "bc7bfc63697190a31b5c2824e9d61c6681de91bf4e03486c9b879c262b2cfc3c",
+    (23, 3): "2c2a82e829cbd7887efe642d456246948a77e623b5744c72ed19a9388ff5e27c",
+    (23, 4): "a9c235b11434f6c67cd720dd9c88ba60a408fe4c3e314ea126289fa550324e25",
+    (23, 6): "131395bd539e2c5edb2ceb7bf9309c34da0504f8d01985fc386218685ee5ae7c",
+}
+
+
 def digest(v):
     w = v.witness
     shape = None if w is None else (w.nrows, w.ncols)
@@ -77,8 +94,9 @@ def digest(v):
 def test_canonical_meataxe_outputs_are_pinned(p, m):
     R = canonical_module(p, m)
     for decide in DECIDERS:
+        expected = GRADED.get((p, m), CANONICAL[(p, m)]) if decide is decide_irreducibility else CANONICAL[(p, m)]
         for seed in SEEDS:
-            assert digest(decide(R, seed=seed)) == CANONICAL[(p, m)], (decide.__name__, p, m, seed)
+            assert digest(decide(R, seed=seed)) == expected, (decide.__name__, p, m, seed)
 
 
 def rootless_blocks(K, sizes, count, rng):
@@ -154,4 +172,6 @@ def test_sampled_meataxe_outputs_are_pinned(case):
 @pytest.mark.parametrize("case", sorted(SAMPLED))
 def test_sampled_modules_have_no_structural_certificate(case):
     # no generator of a conjugated sum is diagonal, monomial or triangular
-    assert structural_certificate(conjugated_module(*case)) is None
+    R = conjugated_module(*case)
+    assert structural_certificate(R) is None
+    assert grading_certificate(R) is None

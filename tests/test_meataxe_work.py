@@ -6,9 +6,10 @@ pin the work behind them, so a change that decides the same modules with
 more spins fails here instead of only running slower.  `SPIN_WORK` is the
 MeatAxe's own work (`meataxe_decide`); `DECIDE_WORK` is that of
 `decide_irreducibility`, whose structural certificate decides the
-irreducible modules of dimension >= 2 with no spin and leaves the others to
-the MeatAxe.  The pairs are those of the meataxe benchmark workload, read
-from `bench/workloads.py`.
+irreducible modules of dimension >= 2 and whose grading certificate
+decides the reducible ones, all with no spin; the one module left to the
+MeatAxe, of dimension 1, needs none either.  The pairs are those of the
+meataxe benchmark workload, read from `bench/workloads.py`.
 """
 
 import importlib.util
@@ -79,18 +80,14 @@ SPIN_WORK = {
 }
 
 
-# the pairs the structural certificate decides: m = 2 and m = p + 1, dim >= 2
-CERTIFIED = {(p, m) for p, m in SPIN_WORK if m in (2, p + 1) and (p - 1) * (m - 1) // 2 >= 2}
-
 # (p, m) -> (spin calls, summed closure dimensions) of decide_irreducibility at seed 0
-DECIDE_WORK = {pm: (0, 0) if pm in CERTIFIED else work for pm, work in SPIN_WORK.items()}
+DECIDE_WORK = {pm: (0, 0) for pm in SPIN_WORK}
 
 
 def test_spin_work_covers_the_benchmark_pairs():
     assert sorted(SPIN_WORK) == sorted(meataxe_pairs())
     assert tuple(map(sum, zip(*SPIN_WORK.values()))) == (46, 353)
-    assert len(CERTIFIED) == 11
-    assert tuple(map(sum, zip(*DECIDE_WORK.values()))) == (17, 43)
+    assert tuple(map(sum, zip(*DECIDE_WORK.values()))) == (0, 0)
 
 
 @pytest.mark.parametrize("p,m", sorted(SPIN_WORK))
