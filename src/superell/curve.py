@@ -24,7 +24,9 @@ SL(2, F_p) acting on the x-line), and ``general`` otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -177,15 +179,18 @@ def count_points(X: SuperellipticCurve, e: int) -> PointCount:
 
     Affine fibers are counted through the m-th power character: a nonzero
     value f(x) contributes nf = gcd(m, q-1) points when it is an m-th power
-    in F_q^x, that is when nf divides its discrete logarithm, and none
-    otherwise; f(x) = 0 contributes one point.  The values and their logs
-    come from `ff._LogTables`, on int residues, whose tables take 12
-    bytes per element of F_q.  The Weil interval is asserted on every count.
+    in F_q^x, that is a g^(nf t), and none otherwise; f(x) = 0 contributes
+    one point.  A table chi of the character reads the narrow indices z of
+    the values from `ff._LogTables`: 9 bytes per element of F_q in all (13
+    in wide words).  The Weil interval is asserted on every count.
     """
-    K, logs = _value_logs(X, e)
+    K, tables = _value_logs(X, e)
     q = K.order
     nf = math.gcd(X.m, q - 1)
-    total = sum(1 if L < 0 else nf for L in logs if L < 0 or L % nf == 0)
+    chi = array("B" if nf < 256 else "I", [0]) * q
+    any(map(chi.__setitem__, memoryview(tables.narrows)[::nf], itertools.repeat(nf)))  # a scatter at C speed
+    chi[0] = 1
+    total = sum(map(chi.__getitem__, tables.values()))
     total += count_infinite_points(X, K)
     g = genus(X)
     if (total - q - 1) ** 2 > 4 * g * g * q:

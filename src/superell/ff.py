@@ -694,11 +694,11 @@ def _primitive_element(K):
             return g
 
 
-_RUN = 256  # elements per int sum in _LogTables.__iter__, which bounds its memory
+_RUN = 256  # elements per int sum in _LogTables.runs, which bounds its memory
 
-# The tables take 12 bytes per element of F_q: 12 MB at F_(1009^2), where a
-# count takes 1.3 s, and about 200 MB at this budget.  A small p costs more
-# per element: F_(2^16) 2.1 s, F_(2^20) 44 s (2-CPU x86_64, Python 3.11).
+# A count's tables take 9 bytes per element of F_q (13 in 8-byte words): 9 MB
+# at F_(1009^2), where a count takes 0.17 s, and 150 to 220 MB at this budget.
+# A small p costs more per element: F_(2^16) 0.85 s, F_(2^20) 18 s (2-CPU x86_64, Python 3.11).
 LOG_TABLE_BUDGET = 2**24
 
 
@@ -706,30 +706,35 @@ def log_table_estimate(p: int, k: int):
     """The work estimate of `_LogTables` on F_(p^k), as the arguments of
     `check_budget`: its p^k elements, compared without forming p^k, so a
     caller refuses a huge field before it builds the descriptor."""
-    return "discrete-log table", (p, k), "elements of F_q, 12 bytes each; enumeration limit", LOG_TABLE_BUDGET
+    return "discrete-log table", (p, k), "elements of F_q, 9 bytes each (13 wide); enumeration limit", LOG_TABLE_BUDGET
+
+
+# The largest slot value x that one Barrett step reduces mod p in w-bit slots:
+# x m < 2^w and floor(x m / 2^t) = floor(x / p) for m = ceil(2^t / p), 2^t > x p.
+_SLOT_LIMIT = {32: 2**15 - 1, 64: 2**31 - 1}
 
 
 class _LogTables:
     """Tables of K = F_q that evaluate f = sum c_j x^j at every element.
 
     g is the primitive element `_primitive_element` finds.  ``exp[i]`` is
-    g^i with its k residues packed s bits apart, where s is the bit length
-    of G (p-1) for groups of G nonzero terms, G as large as k s <= 64
-    allows: a sum of one entry per term of a group never carries from one
-    residue into the next.  Sums of several groups are reduced mod p
-    residue by residue.  ``log[z] = i`` for the narrow index
-    z = sum_r z_r p^r of g^i, and log[0] = -1.  A value z != 0 is an m-th
-    power exactly when log[z] % gcd(m, q-1) == 0 (Lidl-Niederreiter, ch. 5).
-    f must be nonzero.
+    g^i with its k residues packed s bits apart in a w-bit word, where s is
+    the bit length of G (p-1) for groups of G nonzero terms, G as large as
+    k s <= 64 and `_SLOT_LIMIT` allow: a group's sum never carries from one
+    residue into the next.  w = 32 where k s and `_SLOT_LIMIT[32]` allow,
+    else 64.  ``narrows[i]``, in 4 bytes (exp itself for k = 1), is the
+    narrow index z = sum_u r_u p^u of g^i, and a value z != 0 is an m-th
+    power exactly when it is a g^i with gcd(m, q-1) | i (Lidl-Niederreiter,
+    ch. 5).  Only iterating the tables builds the inverse, log[z] = i.  f
+    must be nonzero.
 
     The walk over g^i fills one block per a < M = (q-1)/(p-1): the norm
     h = g^M is a primitive root of F_p, so the residues of g^(a + M b) =
     h^b g^a are those of g^a times h^b, rotations of the powers of h, read
-    with 64-bit slots from one int.  f is a `Polynomial` over K or F_p,
-    read through its residues.  The tables take 12 bytes per element of K.
+    with w-bit slots from one int; so an F_p coefficient h^b has log M b.
     """
 
-    __slots__ = ("field", "s", "exp", "log", "groups")
+    __slots__ = ("field", "s", "exp", "narrows", "groups", "f0")
 
     def __init__(self, K: "FieldDescriptor", f):
         p, k, Q = K.p, K.k, K.order - 1
@@ -739,34 +744,34 @@ class _LogTables:
         for u in range(1, kf):
             narrow = [z + r * p**u for z, r in zip(narrow, res[u::kf])]
         terms = [(z, j) for j, z in enumerate(narrow) if z]
-        size = ((1 << 64 // k) - 1) // (p - 1)
+        size = min(((1 << 64 // k) - 1) // (p - 1), _SLOT_LIMIT[64] // (p - 1) - 1)
         s = (min(len(terms), size) * (p - 1)).bit_length()
-        M = Q // (p - 1)
+        w = 32 if k * s <= 32 and (1 << s) + p <= _SLOT_LIMIT[32] else 64
+        code, M = _ARRAY_CODES[w // 8], Q // (p - 1)
         g = _primitive_element(K)
         rows = _mul_matrix(K, g.coeffs)
         h = _power(K, g.coeffs, M)[0]
-        hpow, hlog, c = array("Q"), array("i", [-1]) * p, 1
+        hpow, hlog, c = array(code), array("i", [-1]) * p, 1
         for b in range(p - 1):
             hpow.append(c)
             hlog[c] = b
             c = c * h % p
         if k == 1:
-            exp, log = hpow, hlog
+            exp = narrows = hpow
         else:
-            twice = int.from_bytes((hpow + hpow).tobytes(), sys.byteorder)
-            block, width = (1 << 64 * (p - 1)) - 1, 8 * (p - 1)
-            exp, log = array("Q", [0]) * Q, array("i", [-1]) * (Q + 1)
+            twice = int.from_bytes(hpow + hpow, sys.byteorder)
+            block, width = (1 << w * (p - 1)) - 1, w // 8 * (p - 1)
+            exp, narrows = array(code, [0]) * Q, array(_ARRAY_CODES[4], [0]) * Q
             x = [1] + [0] * (k - 1)
             for a in range(M):
-                rots = [twice >> 64 * hlog[r] & block if r else 0 for r in x]
+                rots = [twice >> w * hlog[r] & block if r else 0 for r in x]
                 packed = sum(rot << s * u for u, rot in enumerate(rots))
-                exp[a::M] = array("Q", packed.to_bytes(width, sys.byteorder))
-                narrow = sum(rot * p**u for u, rot in enumerate(rots))
-                for z, i in zip(array("Q", narrow.to_bytes(width, sys.byteorder)), range(a, Q, M)):
-                    log[z] = i
+                exp[a::M] = array(code, packed.to_bytes(width, sys.byteorder))
+                z = array(code, sum(rot * p**u for u, rot in enumerate(rots)).to_bytes(width, sys.byteorder))
+                narrows[a::M] = z if w == 32 else array(_ARRAY_CODES[4], z)
                 x = _times(rows, x, p)
-        self.field, self.s, self.exp, self.log = K, s, exp, log
-        terms = [(log[z], j) for z, j in terms]
+        self.field, self.s, self.exp, self.narrows, self.f0 = K, s, exp, narrows, narrow[0]
+        terms = [(M * hlog[z] if kf == 1 else narrows.index(z), j) for z, j in terms]
         self.groups = [terms[a:a + size] for a in range(0, len(terms), size)]
 
     def element(self, i: int) -> "FieldElement":
@@ -774,35 +779,45 @@ class _LogTables:
         K, s, packed = self.field, self.s, self.exp[i % (self.field.order - 1)]
         return FieldElement(K, tuple([packed >> s * u & ((1 << s) - 1) for u in range(K.k)]))
 
-    def __iter__(self):
-        """log f(0), then log f(g^i) for i = 0..q-2; -1 where f vanishes.
+    def values(self):
+        """The narrow index of f(0), then those of f(g^i) for i = 0..q-2."""
+        return itertools.chain([self.f0], itertools.chain.from_iterable(self.runs()))
 
-        Term j contributes exp[(log c_j + i j) mod (q-1)] at g^i.  For a run
-        of _RUN consecutive i, strided slices of exp (wrapping past its end)
-        read every term's entries at once, and one int sum per group of
-        terms, a 64-bit slot per element, adds them.
-        """
-        K, s, exp, log = self.field, self.s, self.exp, self.log
-        p, Q, mask = K.p, K.order - 1, (1 << s) - 1
-        shifts = range(s * (K.k - 1), -1, -s)
-        yield next((L for group in self.groups for L, j in group if j == 0), -1)
+    def __iter__(self):
+        """log f(0), then log f(g^i) for i = 0..q-2; -1 where f vanishes."""
+        log = array("i", [-1]) * self.field.order
+        any(map(log.__setitem__, self.narrows, range(len(self.narrows))))  # a scatter at C speed
+        return map(log.__getitem__, self.values())
+
+    def runs(self):
+        """The narrow indices of f(g^i), i = 0..q-2, in arrays of _RUN.
+
+        Term j contributes exp[(log c_j + i j) mod (q-1)] at g^i.  Strided
+        slices of exp (wrapping past its end) read every term's entries for
+        _RUN consecutive i, and one int sum per group of terms, a w-bit slot
+        per element, adds them.  Each residue plane is masked out of it and
+        reduced mod p by one Barrett step on the whole int; k - 1 whole-int
+        multiply-adds combine the planes into the z."""
+        K, s, exp = self.field, self.s, self.exp
+        p, k, Q, code, w = K.p, K.k, K.order - 1, exp.typecode, 8 * exp.itemsize
+        t = (_SLOT_LIMIT[w] * p).bit_length()
+        m = -(-(1 << t) // p)
+        planes, quotients = (((1 << w * _RUN) - 1) // ((1 << w) - 1) * ((1 << b) - 1) for b in (s, w - t))
         for i0 in range(0, Q, _RUN):
-            n, sums = min(_RUN, Q - i0), []
+            n, acc = min(_RUN, Q - i0), [0] * k
             for group in self.groups:
                 total = 0
                 for L, j in group:
-                    step, start = j % Q, (L + i0 * j) % Q
-                    seq = array("Q") if step else array("Q", [exp[L]]) * n
+                    step = j % Q
+                    seq = array(code) if step else array(code, [exp[L]]) * n
                     while len(seq) < n:
-                        run = exp[start:start + step * (n - len(seq)):step]
-                        seq.extend(run)
-                        start += step * len(run) - Q
-                    total += int.from_bytes(seq.tobytes(), sys.byteorder)
-                sums.append(array("Q", total.to_bytes(8 * n, sys.byteorder)))
-            words = sums[0] if len(sums) == 1 else [
-                sum((sum(w >> t & mask for w in ws) % p) << t for t in shifts) for ws in zip(*sums)]
-            for packed in words:
-                z = 0
-                for t in shifts:
-                    z = z * p + (packed >> t & mask) % p
-                yield log[z]
+                        start = (L + (i0 + len(seq)) * j) % Q
+                        seq.extend(exp[start:start + step * (n - len(seq)):step])
+                    total += int.from_bytes(seq, sys.byteorder)
+                for u in range(k):
+                    a = acc[u] + (total >> s * u & planes)  # slots <= min(2^s + p, (size + 1)(p - 1))
+                    acc[u] = a - (a * m >> t & quotients) * p
+            z = acc.pop()
+            while acc:
+                z = z * p + acc.pop()
+            yield array(code, z.to_bytes(n * w // 8, sys.byteorder))

@@ -75,7 +75,7 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, compress, count
-from operator import mul
+from operator import mul, or_
 
 from .ff import (_ARRAY_CODES, FieldDescriptor, FieldElement, FieldMismatchError, _apply, _binary_power, _elements,
                  _inverse, _mul_matrix, _pack, _packed_bytes, _polymul, _residues, _scale, _trim, _unpack, frobenius)
@@ -248,10 +248,8 @@ class FieldMatrix:
 
     def transpose(self) -> "FieldMatrix":
         k = self.field.k
-        flat = list(zip(*self._rows))
-        if k > 1:
-            flat = [tuple(chain.from_iterable(zip(*flat[j:j + k]))) for j in range(0, len(flat), k)]
-        return FieldMatrix(self.field, _Rows(self.field, flat))
+        planes = self._rows if k == 1 else [row[u::k] for row in self._rows for u in range(k)]
+        return FieldMatrix(self.field, _Rows(self.field, list(zip(*planes))))
 
     def is_zero(self) -> bool:
         return not any(map(any, self._rows))
@@ -434,11 +432,13 @@ class FieldMatrix:
             for i, row in enumerate(self._rows)]))
 
     def _adjacency(self):
-        """The columns j != i with A[i][j] != 0, for each row i."""
+        """The columns j != i with A[i][j] != 0 (an OR of its residues), for each row i."""
         n, k = self.ncols, self.field.k
         out = []
         for i, row in enumerate(self._rows):
-            nonzero = row if k == 1 else map(any, zip(*(row[u::k] for u in range(k))))
+            nonzero = row[::k]
+            for u in range(1, k):
+                nonzero = map(or_, nonzero, row[u::k])
             out.append([j for j in compress(range(n), nonzero) if j != i])
         return out
 

@@ -193,8 +193,8 @@ def is_squarefree(f: Polynomial) -> bool:
 
 
 def roots_in_field(f: Polynomial, K: FieldDescriptor) -> set:
-    """Exact root set of f in K: the x = 0 or g^i where the discrete-log
-    tables of K (`ff._LogTables`) find f(x) = 0.
+    """Exact root set of f in K: the x = 0 or g^i where the value arrays of
+    the discrete-log tables of K (`ff._LogTables`) read f(x) = 0.
 
     K must equal the coefficient field or be an extension of a prime
     coefficient field.  Guarded by the tables' estimate, |K| elements.
@@ -204,5 +204,5 @@ def roots_in_field(f: Polynomial, K: FieldDescriptor) -> set:
         raise FieldMismatchError("K is not an extension of the coefficient field")
     if f.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
-    logs = _LogTables(K, f)
-    return {K.zero() if n == 0 else logs.element(n - 1) for n, L in enumerate(logs) if L < 0}
+    tables = _LogTables(K, f)
+    return {K.zero() if n == 0 else tables.element(n - 1) for n, z in enumerate(tables.values()) if not z}

@@ -1,4 +1,9 @@
+import hashlib
+import math
+import random
+import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -21,8 +26,8 @@ from superell.curve import (
     point_sort_key,
     _normalize_point,
 )
-from superell.ff import make_field
-from superell.poly import Polynomial
+from superell.ff import _LogTables, log_table_estimate, make_field
+from superell.poly import Polynomial, roots_in_field
 
 
 def curve(m, coeffs, p):
@@ -338,3 +343,129 @@ def test_maximal_status_respects_genus_ceiling():
         pc = count_points(X, 2)
         if pc.status == "maximal":
             assert genus(X) <= p * (p - 1) // 2
+
+
+# -- counts against a brute-force character sum --------------------------------
+
+
+def euler_count(X, e):
+    """The count from f.eval at every x of K: a nonzero value is an m-th
+    power exactly when v^((q-1)/nf) = 1 (Euler's criterion), and then has
+    nf = gcd(m, q-1) m-th roots.  Over a prime field the values are plain
+    ints."""
+    K = X.field if X.field.k == e else make_field(X.p, e)
+    Q = K.order - 1
+    nf = math.gcd(X.m, Q)
+    if K.k == 1:
+        cs = [c.coeffs[0] for c in X.f.coeffs]
+        values = [sum(c * pow(x, j, K.p) for j, c in enumerate(cs)) % K.p for x in range(K.p)]
+        affine = sum(1 if v == 0 else nf if pow(v, Q // nf, K.p) == 1 else 0 for v in values)
+    else:
+        f = X.f if X.field == K else X.f.lift_coeffs(K)
+        values = [f.eval(x) for x in K.elements()]
+        affine = sum(1 if v.is_zero() else nf if v ** (Q // nf) == K.one() else 0 for v in values)
+    return affine + count_infinite_points(X, K)
+
+
+def random_curve(rng, m, F, degree):
+    """y^m = f(x) for a random squarefree f of the given degree over F."""
+    while True:
+        coeffs = [F.element([rng.randrange(F.p) for _ in range(F.k)]) for _ in range(degree)] + [F.one()]
+        try:
+            return SuperellipticCurve(m, Polynomial(F, coeffs))
+        except InvalidCurveError:
+            pass
+
+
+# (p, e, m, nf) for every e in {1, 2, 3} and nf = gcd(m, p^e - 1) in {1, 2, 3, 4, 6},
+# and nf = 256, which does not fit a byte of the character table
+EULER_CASES = [
+    (7, 1, 5, 1), (7, 1, 2, 2), (7, 1, 3, 3), (13, 1, 4, 4), (7, 1, 6, 6),
+    (7, 2, 5, 1), (7, 2, 2, 2), (7, 2, 3, 3), (7, 2, 4, 4), (7, 2, 6, 6),
+    (7, 3, 5, 1), (7, 3, 2, 2), (7, 3, 3, 3), (5, 3, 4, 4), (7, 3, 6, 6),
+    (257, 1, 256, 256),
+]
+
+
+@pytest.mark.parametrize("p, e, m, nf", EULER_CASES)
+def test_count_matches_euler_criterion(p, e, m, nf):
+    assert math.gcd(m, p**e - 1) == nf
+    rng = random.Random(1000 * p + 10 * e + m)
+    for degree in (3, 4, 7):
+        X = random_curve(rng, m, make_field(p), degree)
+        assert count_points(X, e).count == euler_count(X, e)
+
+
+@pytest.mark.parametrize("p, k, m", [(7, 2, 2), (7, 2, 3), (7, 2, 4), (7, 2, 6), (5, 2, 3), (3, 3, 2)])
+def test_count_over_the_coefficient_field_matches_euler_criterion(p, k, m):
+    # coefficients outside F_p: their logs come from the narrow-index table
+    rng = random.Random(100 * p + 10 * k + m)
+    for degree in (2, 5):
+        X = random_curve(rng, m, make_field(p, k), degree)
+        assert any(any(c.coeffs[1:]) for c in X.f.coeffs)
+        assert count_points(X, k).count == euler_count(X, k)
+
+
+def test_count_over_f_65537_uses_wide_words():
+    rng = random.Random(65537)
+    X = random_curve(rng, 4, make_field(65537), 6)
+    assert _LogTables(make_field(65537), X.f).exp.itemsize == 8
+    assert count_points(X, 1).count == euler_count(X, 1)
+
+
+def test_count_points_leaves_the_inverse_table_unbuilt(monkeypatch):
+    # only iterating the tables builds log[z] = i; a count reads the values
+    def refuse(tables):
+        raise AssertionError("the inverse table was built")
+
+    X = curve(3, [1, 2, 0, 1, 4], 7)
+    points = enumerate_points(X, 2)
+    monkeypatch.setattr(_LogTables, "__iter__", refuse)
+    assert count_points(X, 2).count == len(points) == euler_count(X, 2)
+    with pytest.raises(AssertionError, match="inverse table"):
+        enumerate_points(X, 2)
+
+
+def test_count_points_traced_peak_stays_within_the_documented_bytes():
+    # the unit string of the tables' estimate states their bytes per element
+    per_element = int(re.search(r"(\d+) bytes each", log_table_estimate(47, 2)[2])[1])
+    for p in (47, 211):
+        X = curve(2, [5, 0, 1, 0, 0, 0, 0, 0, 0, 1], p)
+        count_points(X, 2)
+        tracemalloc.start()
+        try:
+            count_points(X, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_element * p**2 + 16 * 1024, (p, peak)
+
+
+def digest(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+def test_point_sets_and_root_sets_keep_their_pinned_digests():
+    F25, F49 = make_field(5, 2), make_field(7, 2)
+    points = {
+        "833aab3e8f1b2daa": (curve(2, [5, 0, 1, 0, 0, 0, 0, 0, 0, 1], 47), 2),
+        "6908fd0c12fc1dea": (curve(6, [0, 1, 0, 0, 0, 1], 5), 2),
+        "5d8ae17ba2aecff5": (SuperellipticCurve(3, Polynomial(F25, [1, F25.element([2, 1]), 0, 0, 1])), 2),
+        "e2a20bb4220a2b20": (curve(23, [1, 0] + [1] * 31, 2), 11),
+        "c75fe62d9fa07aa3": (curve(3, [1, 0, 1, 0, 0, 0, 0, 0, 0, 1], 2), 13),
+        "aeaac34d00dd915f": (curve(4, [3, 1, 0, 2, 0, 1], 7), 3),
+    }
+    for pinned, (X, e) in points.items():
+        got = [P if P[0] == "inf" else (P[0].coeffs, P[1].coeffs) for P in enumerate_points(X, e)]
+        assert digest(got) == pinned, (X, e)
+    x = Polynomial(F49, [0, 1])
+    split = (x - Polynomial(F49, [F49.element([3, 2])])) * (x - Polynomial(F49, [F49.element([0, 5])]))
+    roots = {
+        "1d41a06a50a1ea33": (Polynomial(make_field(47), [0, -1] + [0] * 45 + [1]), make_field(47, 2)),
+        "539f8a40947ac54f": (split * (x * x + Polynomial(F49, [F49.element([1, 1])])), F49),
+        "6df9035c84f8c8a4": (Polynomial(make_field(7), [6, 0, 0, 0, 0, 0, 0, 0, 1]), F49),
+        "804a0e4f14a6af27": (Polynomial(make_field(65537), [-6, 11, -6, 1]), make_field(65537)),
+        "516c965025c77a00": (Polynomial(make_field(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]), make_field(2, 13)),
+    }
+    for pinned, (f, K) in roots.items():
+        assert digest(sorted(r.coeffs for r in roots_in_field(f, K))) == pinned, (f, K)

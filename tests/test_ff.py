@@ -31,6 +31,7 @@ from superell.ff import (
     make_field,
     primes_up_to,
 )
+from superell import ff
 from superell.poly import Polynomial
 
 
@@ -245,6 +246,53 @@ def test_log_tables_add_wide_sums_in_groups(p, k, n):
     for i in range(0, K.order - 1, 101):
         v = f.eval(tables.element(i))
         assert v.is_zero() if logs[i + 1] < 0 else tables.element(logs[i + 1]) == v
+
+
+def narrow_index(v):
+    """sum_u r_u p^u for the residues r_u of v."""
+    return sum(r * v.field.p**u for u, r in enumerate(v.coeffs))
+
+
+def assert_values_match_eval(tables, f, samples):
+    """values() against the narrow index of f.eval at x = 0 and at about
+    `samples` of the g^i."""
+    K = tables.field
+    values = list(tables.values())
+    assert len(values) == K.order and values[0] == narrow_index(f.eval(K.zero()))
+    for i in range(0, K.order - 1, max(1, (K.order - 1) // samples)):
+        assert values[i + 1] == narrow_index(f.eval(tables.element(i))), i
+
+
+# (p, k, nonzero terms, word bytes, groups): 13 residues of 2 bits fit a
+# 4-byte word, 13 of 4 bits do not; k = 1 at p = 65537 leaves no Barrett
+# headroom in 32-bit slots
+@pytest.mark.parametrize("p, k, terms, width, groups", [
+    (2, 13, 3, 4, 1), (2, 13, 20, 8, 2), (47, 2, 10, 4, 1), (5, 3, 6, 4, 1), (65537, 1, 5, 8, 1)])
+def test_log_table_values_at_both_word_widths(p, k, terms, width, groups):
+    rng = random.Random(p * k + terms)
+    f = Polynomial(make_field(p), [rng.randrange(1, p) for _ in range(terms - 1)] + [0] * (21 - terms) + [1])
+    tables = _LogTables(make_field(p, k), f)
+    assert tables.exp.itemsize == width and tables.narrows.itemsize == (width if k == 1 else 4)
+    assert len(tables.groups) == groups
+    assert_values_match_eval(tables, f, 300)
+
+
+@pytest.mark.parametrize("p, k", [(47, 2), (5, 3), (2, 13)])
+@pytest.mark.parametrize("width", [4, 8])
+def test_log_table_values_reduce_group_by_group(p, k, width, monkeypatch):
+    # a 64-bit limit of 3 (p - 1) leaves room for two terms per group, so
+    # every run adds five groups' planes, each reduced before the next; the
+    # same limit for 32-bit slots leaves 8-byte words
+    K = make_field(p, k)
+    f = Polynomial(K, [K.element([(3 * j + u) % p for u in range(k)]) for j in range(9)] + [1])
+    wide = list(_LogTables(K, f).values())
+    monkeypatch.setitem(ff._SLOT_LIMIT, 64, 3 * (p - 1))
+    if width == 8:
+        monkeypatch.setitem(ff._SLOT_LIMIT, 32, 3 * (p - 1))
+    tables = _LogTables(K, f)
+    assert len(tables.groups) == 5 and tables.exp.itemsize == width
+    assert list(tables.values()) == wide
+    assert_values_match_eval(tables, f, 100)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 3), (7, 2), (1009, 1), (3, 4), (5, 3)])

@@ -636,3 +636,41 @@ def test_spin_through_packed_rows_equals_spin_through_transposes(p, k):
         assert rows == spin(K, seeds, [g.transpose() for g in mats])
         proper += len(rows) < n
     assert proper > 0
+
+
+def reference_adjacency(M):
+    """The support digraph with each entry's k residues zipped into a tuple."""
+    n, k = M.ncols, M.field.k
+    return [[j for j in range(n) if j != i and any(row[j * k:j * k + k])] for i, row in enumerate(M._rows)]
+
+
+def reference_transpose_rows(M):
+    """The transpose's rows, read entry by entry through __getitem__."""
+    return [tuple(M[i, j] for i in range(M.nrows)) for j in range(M.ncols)]
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (47, 2), (5, 3)])
+def test_adjacency_is_the_support_of_every_entry(p, k):
+    K = make_field(p, k)
+    rng = random.Random(31 * p + k)
+    for _ in range(25):
+        n = rng.randrange(1, 9)
+        density = rng.choice([0.1, 0.4, 0.9])
+        # entries with a single nonzero residue in any plane, so no plane alone decides
+        M = FieldMatrix(K, [[[rng.randrange(p) if rng.random() < density else 0 for _ in range(k)]
+                             for _ in range(n)] for _ in range(n)])
+        assert M._adjacency() == reference_adjacency(M)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (47, 2), (5, 3), (2, 4)])
+def test_transpose_and_from_columns_read_every_entry(p, k):
+    K = make_field(p, k)
+    rng = random.Random(17 * p + k)
+    draw = element_drawer(K, rng)
+    for nrows, ncols in ((1, 1), (1, 7), (7, 1), (3, 3), (2, 5), (6, 4), (40, 1)):
+        M = FieldMatrix(K, [[draw() for _ in range(ncols)] for _ in range(nrows)])
+        T = M.transpose()
+        assert (T.nrows, T.ncols) == (ncols, nrows)
+        assert list(T.rows) == reference_transpose_rows(M)
+        assert T.transpose() == M
+        assert FieldMatrix.from_columns(K, [list(r) for r in T.rows]) == M
