@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import canrep, casecheck, cartier, curve as curvemod, ramify
 from .exprparse import parse_curve, render_poly
@@ -47,9 +48,21 @@ def _jnum(v):
     return v
 
 
+def _dumps(v, indent="\n"):
+    """json.dumps(v, indent=2) for str-keyed v, without the indenting
+    encoder: its closures refer to each other, so each call leaves a cycle
+    for the garbage collector."""
+    inner = indent + "  "
+    if isinstance(v, dict) and v:
+        return "{" + ",".join(inner + _quote(k) + ": " + _dumps(x, inner) for k, x in v.items()) + indent + "}"
+    if isinstance(v, (list, tuple)) and v:
+        return "[" + ",".join(inner + _dumps(x, inner) for x in v) + indent + "]"
+    return _quote(v) if type(v) is str else repr(v) if type(v) is int else json.dumps(v)
+
+
 def _emit(report: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     else:
         for line in lines:
             print(line)

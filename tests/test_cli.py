@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import time
 from importlib import resources
@@ -361,3 +362,21 @@ def test_human_readable_output(capsys):
     assert code == 0
     assert "genus: 2" in out
     assert "superspecial" in out
+
+
+def test_json_text_matches_the_indenting_encoder():
+    report = {"a": [1, -2.5, float("nan"), float("inf"), None, True, False], "é\n\"": "ω\t",
+              "empty": [{}, [], ()], "3": {"2.5": (1, [2, {"x": 10**30}])}, "": {"t": {"f": ""}}}
+    assert cli._dumps(report) == json.dumps(report, indent=2)
+    assert [cli._dumps(v) for v in ({}, [], 7, "s")] == ["{}", "[]", "7", '"s"']
+
+
+def test_json_report_leaves_no_reference_cycle(capsys):
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(["classify", "y^2 = x^5 + 3x + 1 mod 23", "--e", "1,2", "--json"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert json.loads(capsys.readouterr().out)["results"]["genus"] == 2
