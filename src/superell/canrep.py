@@ -8,18 +8,17 @@ contains the m-th roots of unity because m | p+1.  zeta_m acts
 diagonally, and a Moebius lift keeps each j-block, on which it acts as a
 symmetric power of a 2 x 2 matrix (`_sym_power_columns`).
 
-Irreducibility is decided first by certificates that read only the
-generators' residues and check their premises at runtime.  The weight
-and flag premises of `structural_certificate` certify irreducible
-modules: the Hermitian plane modules (m = p+1) and m = 2.  The grading
-premise of `grading_certificate` certifies reducible ones: a diagonal
-generator D with at least two distinct entries, such that every
-generator's nonzero entry (i, j) has D_ii = D_jj, so that each
-eigenspace of D is invariant.  zeta_m meets it for 2 < m < p+1: its
-eigenspaces are the j-blocks, and the witness is the j = 1 block.
-Where no premise decides, and for dim < 2, the MeatAxe decides
-(`meataxe_decide`); no canonical module of dimension >= 2 reaches it.
-A verdict names its route, which `rep` prints in its provenance.
+Irreducibility is decided first by `certificate`, one pass that reads
+only the generators' residues and checks its premises at runtime.  Its
+grading premise certifies reducible modules: zeta_m is diagonal, and for
+2 < m < p+1 every generator keeps its eigenspaces, the j-blocks, so the
+j = 1 block is the witness.  Its weight and flag premises, with a
+strongly connected support digraph, certify irreducible ones: the
+Hermitian plane modules (m = p+1) by a torus with distinct weights, and
+m = 2 by the Jordan block of x -> x + 1.  Where no premise decides, and
+for dim < 2, the MeatAxe decides (`meataxe_decide`); no canonical module
+of dimension >= 2 reaches it.  A verdict names its route, which `rep`
+prints in its provenance.
 
 The MeatAxe is seeded: sample elements of the generated matrix
 algebra, read their eigenvalues off the char poly's block split (a
@@ -76,9 +75,9 @@ class DifferentialBasis:
         return self.entries.index((j, i))
 
 
-# Building and deciding a module takes about 90 bytes and 1 us of CPU per
-# entry: m = 2 at p = 2003 (dim 1001) 111 MB and 1.0 s, Hermitian p = 47
-# (dim 1081) 96 MB and 0.95 s, on a 2-CPU x86_64 machine with Python 3.11.
+# Building and deciding a module takes about 90 bytes and 0.4 us of CPU per
+# entry: m = 2 at p = 2003 (dim 1001) 111 MB and 0.37 s, Hermitian p = 47
+# (dim 1081) 96 MB and 0.33 s, on a 2-CPU x86_64 machine with Python 3.11.
 # The budget admits dim 1448.
 MODULE_ENTRY_BUDGET = 2**21
 
@@ -338,52 +337,52 @@ class IrreducibilityVerdict:
 
 
 def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 200) -> IrreducibilityVerdict:
-    """The structural certificate where its premises hold, else the grading
-    certificate, else the seeded MeatAxe (`meataxe_decide`)."""
-    return structural_certificate(R) or grading_certificate(R) or meataxe_decide(R, seed, budget)
+    """The verdict of `certificate` where its premises decide, else that of
+    the seeded MeatAxe (`meataxe_decide`)."""
+    return certificate(R) or meataxe_decide(R, seed, budget)
 
 
-def structural_certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
-    """Absolute irreducibility of R from its generators' shapes, without
-    sampling, or None when neither premise decides it.
+def certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
+    """R's verdict from its generators' shapes, without sampling, or None
+    when no premise decides it.  Each generator is tested for diagonality
+    once, and the diagonal generators' entries serve the grading and the
+    weight premise.
 
-    Weight premise: a diagonal generator D and a monomial generator P, such
-    that the weights of the basis vectors are distinct.  Then every
-    submodule is spanned by basis vectors, and R is irreducible iff the
-    union of the generators' support digraphs is strongly connected.
+    Grading premise (reducible): a diagonal D with at least two distinct
+    entries, such that every generator's nonzero entry (i, j) has
+    D_ii = D_jj.  Each eigenspace of D is then a proper submodule; the
+    witness is that of D_00, re-checked by `is_invariant_subspace`.  A row
+    of grade g is zero off the runs of columns of grade g when its zeros
+    and its nonzero residues on those runs fill it, which counts each
+    entry once at C speed.
+
+    Weight premise: a diagonal D and a monomial P whose weights are
+    distinct.  P e_i is a multiple of e_(pi(i)), so P^t D P^(-t) is
+    diagonal with D[pi^(-t)(i)] at i, whatever P's scalars; these span a
+    torus, and e_i has the weight t -> D[pi^(-t)(i)], compared by its
+    values along P's orbit of i (were two weights equal with different
+    orbit lengths, the longer orbit would have a shorter period, and two
+    of its own members would share their values).  Distinct weights put
+    every coordinate projection in the algebra, so every submodule is
+    spanned by basis vectors.  A diagonal P stands for the identity.
     Flag premise: an upper unitriangular generator with no zero on its
-    superdiagonal.  Then R is irreducible iff no V_k = <e_0..e_(k-1)>,
-    0 < k < dim, is invariant.  Either way the verdict holds over every
-    extension field, so it is absolute, and Schur's lemma gives commutant
-    dimension 1.  A module of dimension below 2 is left to the MeatAxe.
+    superdiagonal, one Jordan block, whose invariant subspaces are the
+    flag V_k = <e_0..e_(k-1)>.
+
+    Under either premise R is irreducible iff the union of the generators'
+    support digraphs is strongly connected.  Under the flag premise the
+    superdiagonal is the path 0 -> 1 -> ... -> dim-1, so that holds iff
+    every cut {>= k} -> {< k} has an edge: iff some generator moves each
+    V_k.  The verdict holds over every extension field, so it is absolute,
+    and Schur's lemma gives commutant dimension 1.  A module of dimension
+    below 2 is left to the MeatAxe.
     """
     if R.dim < 2:
         return None
-    gens = R.generators
-    if _distinct_weights(gens):
-        adjs = [G._adjacency() for G in gens]
-        if len(_strong_components([list(itertools.chain.from_iterable(out)) for out in zip(*adjs)])) == 1:
-            return IrreducibilityVerdict("absolutely-irreducible", None, 1, WEIGHT_ROUTE)
-    elif any(map(_is_jordan_block, gens)) and _moves_every_flag_member(gens):
-        return IrreducibilityVerdict("absolutely-irreducible", None, 1, FLAG_ROUTE)
-    return None
-
-
-def grading_certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
-    """Reducibility of R from a grading that every generator keeps, without
-    sampling, or None when the premise fails.
-
-    Premise: a diagonal generator D with at least two distinct entries, such
-    that every generator's nonzero entry (i, j) has D_ii = D_jj.  Then each
-    eigenspace of D is a proper submodule; the witness is that of D_00,
-    re-checked by `is_invariant_subspace`.  A row of grade g is zero off
-    the runs of columns of grade g when its zeros and its nonzero residues
-    on those runs fill it, which counts each entry once at C speed.
-    """
     k, n, gens = R.field.k, R.dim * R.field.k, R.generators
     diagonal = [G._is_diagonal() for G in gens]
-    for D in itertools.compress(gens, diagonal):
-        grade = [row[i * k:i * k + k] for i, row in enumerate(D._rows)]
+    entries = [[row[i * k:i * k + k] for i, row in enumerate(D._rows)] for D in itertools.compress(gens, diagonal)]
+    for grade in entries:
         spans, start = {}, 0
         for g, run in itertools.groupby(grade):
             spans.setdefault(g, []).append((start, start + len(list(run)) * k))
@@ -392,32 +391,14 @@ def grading_certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdi
                                   for G, d in zip(gens, diagonal) if not d for row, g in zip(G._rows, grade)):
             block = [i for i, g in enumerate(grade) if g == grade[0]]
             return _reducible(R.field, _unit_rows(R.field, R.dim, block), gens, GRADING_ROUTE)
+    orbits = (list(range(R.dim)) if d else _monomial_columns(P) for P, d in zip(gens, diagonal))
+    weights = bool(entries) and any(_orbit_values_differ(D, back)
+                                    for back in orbits if back is not None for D in entries)
+    if weights or any(map(_is_jordan_block, gens)):
+        adjs = [G._adjacency() for G in gens]
+        if len(_strong_components([list(itertools.chain.from_iterable(out)) for out in zip(*adjs)])) == 1:
+            return IrreducibilityVerdict("absolutely-irreducible", None, 1, WEIGHT_ROUTE if weights else FLAG_ROUTE)
     return None
-
-
-def _distinct_weights(gens) -> bool:
-    """Some diagonal D and monomial P among gens give distinct weights.
-
-    P e_i is a multiple of e_(pi(i)), so P^t D P^(-t) is diagonal with
-    D[pi^(-t)(i)] at i, whatever P's scalars.  These matrices span a torus,
-    and e_i has the weight t -> D[pi^(-t)(i)], periodic in t.  It is
-    compared by its values along P's orbit of i: were two weights equal with
-    different orbit lengths, the longer orbit would have a shorter period,
-    and two of its own members would share their values.  When the dim
-    weights are distinct, the torus holds every coordinate projection.  A
-    diagonal P stands for the identity, pi = 1, which lies in the algebra
-    whatever P's diagonal.
-    """
-    k, dim = gens[0].field.k, gens[0].nrows
-    diagonal = [G._is_diagonal() for G in gens]
-    entries = [[row[i * k:i * k + k] for i, row in enumerate(D._rows)] for D, d in zip(gens, diagonal) if d]
-    if not entries:
-        return False
-    for P, d in zip(gens, diagonal):
-        back = list(range(dim)) if d else _monomial_columns(P)
-        if back is not None and any(_orbit_values_differ(D, back) for D in entries):
-            return True
-    return False
 
 
 def _orbit_values_differ(D, back) -> bool:
@@ -455,24 +436,6 @@ def _is_jordan_block(U) -> bool:
     one = (1,) + (0,) * (k - 1)
     return all(not any(row[:i * k]) and row[i * k:i * k + k] == one
                and (i + 1 == n or any(row[i * k + k:i * k + 2 * k])) for i, row in enumerate(U._rows))
-
-
-def _moves_every_flag_member(gens) -> bool:
-    """For every 0 < k < dim some generator has a nonzero entry in a row
-    >= k of a column < k, so that it moves V_k."""
-    dim = gens[0].nrows
-    lowest = list(range(dim))   # the lowest nonzero row of each column, at least its own
-    for G in gens:
-        for i, out in enumerate(G._adjacency()):
-            for j in out:
-                if i > lowest[j]:
-                    lowest[j] = i
-    reach = 0
-    for k in range(1, dim):
-        reach = max(reach, lowest[k - 1])
-        if reach < k:
-            return False
-    return True
 
 
 def meataxe_decide(R: RepresentationModule, seed: int = 0, budget: int = 200) -> IrreducibilityVerdict:
@@ -603,7 +566,7 @@ def _sample_algebra_element(rng, pool, gens, field, attempt):
 
 def explicit_invariant_subspace(B: DifferentialBasis) -> FieldMatrix:
     """Coordinate inclusion of the j = 1 block, the eigenspace of zeta_m
-    that `grading_certificate` gives as its witness for the canonical
+    that `certificate` gives as its grading witness for the canonical
     module of B and checks invariant there.  Defined for 2 < m < p+1: the
     block is nonzero (m' >= 2) and proper (another j-block exists).
     """

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superell.canrep import (
     FLAG_ROUTE,
@@ -16,36 +17,28 @@ from superell.canrep import (
     _roots_with_multiplicity,
     build_basis,
     canonical_module,
+    certificate,
     commutant_dimension,
     decide_irreducibility,
     divisor_table,
     explicit_invariant_subspace,
     _monomials,
     generator_matrix,
-    grading_certificate,
     hermitian_plane_module,
     meataxe_decide,
     module_estimate,
     sl2_generators,
-    structural_certificate,
     _sample_algebra_element,
     zeta_of_order,
 )
 from superell.curve import CurveAutomorphism, InvalidCurveError
-from superell.ff import WorkBudgetError, check_budget, lift_to, make_field
+from superell.ff import WorkBudgetError, check_budget, is_prime, lift_to, make_field
 from superell.linalg import FieldMatrix, is_invariant_subspace
 from superell.poly import Polynomial, poly_pow, roots_in_field
 
 
 def all_divisor_params(p_max):
-    out = []
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        if p > p_max:
-            break
-        for m in range(2, p + 2):
-            if (p + 1) % m == 0:
-                out.append((p, m))
-    return out
+    return [(p, m) for p in range(3, p_max + 1) if is_prime(p) for m in range(2, p + 2) if (p + 1) % m == 0]
 
 
 # -- basis ------------------------------------------------------------------
@@ -494,20 +487,63 @@ def test_dual_spin_finds_the_submodule_the_eigenvector_misses():
     assert v.witness == FieldMatrix(K, [[1], [0]])
 
 
-# -- structural certificate ----------------------------------------------------
+# -- certificate ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,m", [(2, 3)] + all_divisor_params(50) + [(167, 2), (173, 2), (179, 2)])
+def test_certificate_decides_the_dichotomy(p, m):
+    # the paper's dichotomy over every p <= 50, and m = 2 past genus 82, by
+    # the certificate alone; the two tests below check it against the MeatAxe
+    R = canonical_module(p, m)
+    cert, decided = certificate(R), decide_irreducibility(R)
+    irreducible = m in (2, p + 1)
+    assert decided.verdict == ("absolutely-irreducible" if irreducible else "reducible")
+    if R.dim < 2:
+        assert cert is None and decided.route == MEATAXE_ROUTE
+        return
+    assert (decided, decided.route) == (cert, cert.route)
+    if irreducible:
+        # no grading: at m = 2 zeta = -I has one eigenvalue, and at m = p + 1
+        # the rotation moves the scaling's eigenspaces
+        assert cert == IrreducibilityVerdict("absolutely-irreducible", None, 1)
+        assert cert.route == (FLAG_ROUTE if m == 2 else WEIGHT_ROUTE)
+    else:
+        assert cert == IrreducibilityVerdict("reducible", cert.witness, None)
+        assert cert.route == GRADING_ROUTE
+        assert cert.witness == explicit_invariant_subspace(build_basis(p, m))
 
 
 @pytest.mark.parametrize("p,m", [(2, 3)] + all_divisor_params(23))
 def test_structural_certificate_agrees_with_the_meataxe(p, m):
+    # the weight and flag premises decide exactly the irreducible modules
     R = canonical_module(p, m)
-    cert, v = structural_certificate(R), meataxe_decide(R)
+    cert = certificate(R)
     if m not in (2, p + 1) or R.dim < 2:
-        assert cert is None
+        assert cert is None or cert.route == GRADING_ROUTE
         return
+    v = meataxe_decide(R)
     assert cert == v == IrreducibilityVerdict("absolutely-irreducible", None, 1)
     assert cert.route == (FLAG_ROUTE if m == 2 else WEIGHT_ROUTE)
     assert v.route == MEATAXE_ROUTE
     assert decide_irreducibility(R).route == cert.route
+
+
+@pytest.mark.parametrize("p,m", [(2, 3)] + all_divisor_params(23))
+def test_grading_certificate_agrees_with_the_meataxe(p, m):
+    # the grading premise decides exactly the reducible modules of dim >= 2
+    R = canonical_module(p, m)
+    cert = certificate(R)
+    if m in (2, p + 1) or R.dim < 2:
+        assert cert is None or cert.route != GRADING_ROUTE
+        return
+    v = meataxe_decide(R)
+    assert cert == IrreducibilityVerdict("reducible", cert.witness, None)
+    assert (cert.route, v.verdict, v.route) == (GRADING_ROUTE, "reducible", MEATAXE_ROUTE)
+    # the MeatAxe finds the same unit vectors, listed in spin order
+    assert set(cert.witness.columns()) == set(v.witness.columns())
+    assert cert.witness == explicit_invariant_subspace(build_basis(p, m))
+    decided = decide_irreducibility(R)
+    assert (decided, decided.route) == (cert, GRADING_ROUTE)
 
 
 def test_structural_certificate_leaves_scalar_and_non_unipotent_modules_to_the_meataxe():
@@ -515,15 +551,15 @@ def test_structural_certificate_leaves_scalar_and_non_unipotent_modules_to_the_m
         K = make_field(p, k)
         scalars = [K.one(), K.element([p - 1] + [0] * (k - 1)), K.element([1] * k)]
         gens = tuple(FieldMatrix.identity(K, dim).scale(c) for c in scalars)
-        assert structural_certificate(RepresentationModule(p, 0, K, dim, gens, ("c",) * 3)) is None
+        assert certificate(RepresentationModule(p, 0, K, dim, gens, ("c",) * 3)) is None
     # the triangular pair of the dual-spin test: neither is unitriangular
     K = make_field(5)
     gens = (FieldMatrix(K, [[3, 1], [0, 1]]), FieldMatrix(K, [[2, 1], [0, 4]]))
-    assert structural_certificate(RepresentationModule(5, 0, K, 2, gens, ("g1", "g2"))) is None
+    assert certificate(RepresentationModule(5, 0, K, 2, gens, ("g1", "g2"))) is None
 
 
-def small_module(p, *rows):
-    K = make_field(p)
+def small_module(p, *rows, k=1):
+    K = make_field(p, k)
     gens = tuple(FieldMatrix(K, r) for r in rows)
     return RepresentationModule(p=p, m=0, field=K, dim=gens[0].nrows, generators=gens, labels=("g",) * len(gens))
 
@@ -531,18 +567,18 @@ def small_module(p, *rows):
 def test_structural_certificate_decides_small_modules_by_either_premise():
     # distinct weights 1, 2, 3 and a 3-cycle whose support is one cycle
     R = small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[0, 0, 5], [1, 0, 0], [0, 2, 0]])
-    assert structural_certificate(R).route == WEIGHT_ROUTE
-    assert meataxe_decide(R) == structural_certificate(R)
+    assert certificate(R).route == WEIGHT_ROUTE
+    assert meataxe_decide(R) == certificate(R)
     # D = diag(1, 1, 2, 2) alone has repeated entries; along the orbits of
     # the 4-cycle the weights (1, 2, 2, 1), (1, 1, 2, 2), ... are distinct
     R = small_module(5, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
                      [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    assert structural_certificate(R).route == WEIGHT_ROUTE
-    assert meataxe_decide(R) == structural_certificate(R)
+    assert certificate(R).route == WEIGHT_ROUTE
+    assert meataxe_decide(R) == certificate(R)
     # a Jordan block and the lower shift, which moves every flag member
     R = small_module(5, [[1, 2, 3], [0, 1, 4], [0, 0, 1]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert structural_certificate(R).route == FLAG_ROUTE
-    assert meataxe_decide(R) == structural_certificate(R)
+    assert certificate(R).route == FLAG_ROUTE
+    assert meataxe_decide(R) == certificate(R)
 
 
 @pytest.mark.parametrize("rows", [
@@ -555,43 +591,81 @@ def test_structural_certificate_decides_small_modules_by_either_premise():
 ])
 def test_a_premise_that_holds_on_a_reducible_module_leaves_it_to_the_meataxe(rows):
     R = small_module(7, *rows)
-    assert structural_certificate(R) is None
+    assert certificate(R) is None
     v = decide_irreducibility(R)
     assert v == meataxe_decide(R)
     assert (v.verdict, v.route) == ("reducible", MEATAXE_ROUTE)
     assert is_invariant_subspace(v.witness.columns(), list(R.generators))
 
 
-@pytest.mark.parametrize("p,m", [(2, 3)] + all_divisor_params(23))
-def test_grading_certificate_agrees_with_the_meataxe(p, m):
-    R = canonical_module(p, m)
-    cert, v = grading_certificate(R), meataxe_decide(R)
-    if m in (2, p + 1):
-        # m = 2: zeta = -I has one eigenvalue; m = p + 1: the rotation
-        # moves the scaling's eigenspaces; dimension 1 has one eigenvalue
-        assert cert is None
-        return
-    assert cert == IrreducibilityVerdict("reducible", cert.witness, None)
-    assert (cert.route, v.verdict) == (GRADING_ROUTE, "reducible")
-    # the MeatAxe finds the same unit vectors, listed in spin order
-    assert set(cert.witness.columns()) == set(v.witness.columns())
-    assert cert.witness == explicit_invariant_subspace(build_basis(p, m))
-    decided = decide_irreducibility(R)
-    assert (decided, decided.route) == (cert, GRADING_ROUTE)
-
-
 def test_grading_certificate_decides_small_modules():
     # the grades {0, 2} and {1} are not runs of neighbouring columns
     R = small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 1]], [[0, 0, 1], [0, 3, 0], [1, 0, 0]])
-    v = grading_certificate(R)
+    v = certificate(R)
     assert (v.verdict, v.endo_dim, v.route) == ("reducible", None, GRADING_ROUTE)
     assert v.witness == FieldMatrix(make_field(7), [[1, 0], [0, 0], [0, 1]])
     assert meataxe_decide(R).verdict == "reducible"
     # the second generator's entry (0, 1) joins two grades
-    assert grading_certificate(small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
-                                            [[0, 1, 1], [0, 3, 0], [1, 0, 0]])) is None
+    assert certificate(small_module(7, [[1, 0, 0], [0, 2, 0], [0, 0, 1]], [[0, 1, 1], [0, 3, 0], [1, 0, 0]])) is None
     # a scalar D has one grade
-    assert grading_certificate(small_module(7, [[2, 0], [0, 2]], [[0, 1], [1, 0]])) is None
+    assert certificate(small_module(7, [[2, 0], [0, 2]], [[0, 1], [1, 0]])) is None
+
+
+@st.composite
+def shaped_rows(draw, p, k, dim):
+    """The rows of a dim x dim matrix over F_(p^k), as residue lists, of a
+    drawn shape: diagonal, monomial, sparse, or upper unitriangular with no
+    zero on its superdiagonal, one Jordan block."""
+    entry = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    nonzero = entry.filter(any)
+    rows = [[[0] * k for _ in range(dim)] for _ in range(dim)]
+    shape = draw(st.sampled_from(["diagonal", "monomial", "unitriangular", "sparse"]))
+    if shape == "diagonal":
+        for i in range(dim):
+            rows[i][i] = draw(nonzero)
+    elif shape == "monomial":
+        for i, j in enumerate(draw(st.permutations(range(dim)))):
+            rows[j][i] = draw(nonzero)
+    elif shape == "unitriangular":
+        for i in range(dim):
+            rows[i][i] = [1] + [0] * (k - 1)
+            for j in range(i + 1, dim):
+                rows[i][j] = draw(nonzero if j == i + 1 else entry)
+    else:
+        for i, j in draw(st.sets(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=dim + 1)):
+            rows[i][j] = draw(nonzero)
+    return rows
+
+
+@st.composite
+def drawn_modules(draw):
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)]))
+    dim = draw(st.integers(2, 5))
+    return small_module(p, *draw(st.lists(shaped_rows(p, k, dim), min_size=1, max_size=3)), k=k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(drawn_modules())
+def test_certificate_verdicts_on_drawn_modules_agree_with_the_meataxe(R):
+    cert = certificate(R)
+    if cert is None:
+        return
+    v = meataxe_decide(R)
+    assert (cert.verdict, cert.endo_dim) == (v.verdict, v.endo_dim)
+    if cert.verdict == "reducible":
+        assert 0 < cert.witness.ncols < R.dim
+        assert is_invariant_subspace(cert.witness.columns(), list(R.generators))
+
+
+def test_certificate_classifies_each_generator_once(monkeypatch):
+    calls = []
+    is_diagonal = FieldMatrix._is_diagonal
+    monkeypatch.setattr(FieldMatrix, "_is_diagonal", lambda self: calls.append(self) or is_diagonal(self))
+    for p, m in [(23, 12), (11, 12), (7, 2)]:
+        R = canonical_module(p, m)
+        calls.clear()
+        assert certificate(R) is not None
+        assert len(calls) <= len(R.generators), (p, m)
 
 
 def test_grading_certificate_decides_the_largest_reducible_module_faster_than_it_is_built():
@@ -600,7 +674,7 @@ def test_grading_certificate_decides_the_largest_reducible_module_faster_than_it
     R = canonical_module(71, 36)
     built = time.process_time() - start
     start = time.process_time()
-    v = decide_irreducibility(R)
+    v = certificate(R)
     decided = time.process_time() - start
     assert (v.verdict, v.route, v.witness.ncols) == ("reducible", GRADING_ROUTE, 1)
     assert decided < built, f"built in {built:.2f} s, decided in {decided:.2f} s of CPU"
@@ -611,7 +685,7 @@ def test_structural_certificate_decides_the_largest_modules_in_a_second(p, m):
     # dim 1001 and 1081; the MeatAxe took more than 120 s and about 60 s here
     R = canonical_module(p, m)
     start = time.process_time()
-    v = decide_irreducibility(R)
+    v = certificate(R)
     elapsed = time.process_time() - start
     route = FLAG_ROUTE if m == 2 else WEIGHT_ROUTE
     assert (v.verdict, v.endo_dim, v.route) == ("absolutely-irreducible", 1, route)

@@ -3,13 +3,13 @@
 The hashes pin the byte-identical `--json` invariant: a refactor that
 changes any verdict, count, matrix, witness or key order fails here.
 Regenerate a hash only for a deliberate change of output, and say so.
-The `rep` reports of (7, 2), (5, 6), (7, 8) and (11, 12) name the
-structural certificate that decides them in their provenance, where they
-named the MeatAxe's dual spin; nothing else in them changed.  Those of
-the reducible (7, 4), (11, 3), (11, 4), (13, 7) and (23, 12) name the
-grading certificate in its place; the witness of (11, 3) lists the same
-three unit vectors in ascending order, where the MeatAxe listed them in
-spin order, and nothing else in them changed.
+The `rep` reports of (7, 2), (5, 6), (7, 8) and (11, 12) name the flag
+or weight premise of the certificate that decides them in their
+provenance, where they named the MeatAxe's dual spin; nothing else in
+them changed.  Those of the reducible (7, 4), (11, 3), (11, 4), (13, 7)
+and (23, 12) name its grading premise in its place; the witness of
+(11, 3) lists the same three unit vectors in ascending order, where the
+MeatAxe listed them in spin order, and nothing else in them changed.
 """
 
 import hashlib

@@ -21,8 +21,7 @@ import random
 
 import pytest
 
-from superell.canrep import (RepresentationModule, canonical_module, decide_irreducibility, grading_certificate,
-                             meataxe_decide, structural_certificate)
+from superell.canrep import RepresentationModule, canonical_module, certificate, decide_irreducibility, meataxe_decide
 from superell.ff import make_field
 from superell.linalg import FieldMatrix
 from superell.poly import roots_in_field
@@ -173,5 +172,4 @@ def test_sampled_meataxe_outputs_are_pinned(case):
 def test_sampled_modules_have_no_structural_certificate(case):
     # no generator of a conjugated sum is diagonal, monomial or triangular
     R = conjugated_module(*case)
-    assert structural_certificate(R) is None
-    assert grading_certificate(R) is None
+    assert certificate(R) is None

@@ -5,10 +5,10 @@ The verdicts are pinned elsewhere (`test_meataxe_golden.py`); these counts
 pin the work behind them, so a change that decides the same modules with
 more spins fails here instead of only running slower.  `SPIN_WORK` is the
 MeatAxe's own work (`meataxe_decide`); `DECIDE_WORK` is that of
-`decide_irreducibility`, whose structural certificate decides the
-irreducible modules of dimension >= 2 and whose grading certificate
-decides the reducible ones, all with no spin; the one module left to the
-MeatAxe, of dimension 1, needs none either.  The pairs are those of the
+`decide_irreducibility`, whose `certificate` decides every module of
+dimension >= 2, the irreducible ones by its weight and flag premises and
+the reducible ones by its grading premise, all with no spin; the one
+module left to the MeatAxe, of dimension 1, needs none either.  The pairs are those of the
 meataxe benchmark workload, read from `bench/workloads.py`.
 """
 
