@@ -1,12 +1,13 @@
 """Canonical representation of Aut(X) for X: y^m = x^p - x, m | p+1.
 
 The holomorphic differentials have basis x^i dx / y^j with 1 <= j <= m-1
-and 0 <= i <= m'j - 2 (m' = (p+1)/m), of size (p-1)(m-1)/2 = genus.  The
-group generated by the vertical root-of-unity map and the SL(2, F_p)
-lifts acts by pullback; all matrices are realized over F_{p^2}, which
-contains the m-th roots of unity because m | p+1.  zeta_m acts
-diagonally, and a Moebius lift keeps each j-block, on which it acts as a
-symmetric power of a 2 x 2 matrix (`_sym_power_columns`).
+and 0 <= i <= m'j - 2 (m' = (p+1)/m), of size (p-1)(m-1)/2 = genus.  An
+automorphism (A, mu) (`curve.CurveAutomorphism`) pulls x^i dx / y^j back
+to det(A) mu^(-j) (a x + b)^i (c x + d)^(m'j - 2 - i) dx / y^j, so it
+keeps each j-block and acts there as det(A) mu^(-j) Sym^(m'j - 2)(A)
+(`_sym_power_columns`).  The vertical map (I, zeta_m) and the SL(2, F_p)
+lifts x -> x + 1 and x -> -1/x generate the module, over F_{p^2}, which
+contains the m-th roots of unity because m | p+1.
 
 Irreducibility is decided first by `certificate`, one pass that reads
 only the generators' residues and checks its premises at runtime.  Its
@@ -30,13 +31,6 @@ certifies that the commutant is scalar, which upgrades the verdict to
 absolute irreducibility.  The first samples are the generators, so the
 eigen-step reads what their structure gives: theta - lam I changes only
 the diagonal, and a diagonal shift's kernel is a set of unit vectors.
-
-A scalar sample, theta = lam I, says nothing of the module: of its
-eigenspace, the whole space, only the first vector is probed, which
-still finds the submodule span(e_1) when every generator is scalar.  The
-dual spin reads the generators' packed rows, which are the columns of
-their transposes, so no transposed generator is built; a diagonal
-theta - lam I is its own transpose.
 """
 
 from __future__ import annotations
@@ -49,8 +43,8 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .curve import CurveAutomorphism, InvalidCurveError
-from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _norm, _polymul, _power, _prime_divisors,
+from .curve import CurveAutomorphism, _artin_schreier_poly, check_automorphism
+from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _norm, _polymul, _power, _prime_divisors, _scale,
                  _times, _trim, check_budget, is_prime, lift_to, make_field)
 from .linalg import FieldMatrix, _Rows, _strong_components, _Transpose, _unit_rows, is_invariant_subspace, spin
 from .poly import Polynomial, roots_in_field
@@ -75,9 +69,9 @@ class DifferentialBasis:
         return self.entries.index((j, i))
 
 
-# Building and deciding a module takes about 90 bytes and 0.4 us of CPU per
-# entry: m = 2 at p = 2003 (dim 1001) 111 MB and 0.37 s, Hermitian p = 47
-# (dim 1081) 96 MB and 0.33 s, on a 2-CPU x86_64 machine with Python 3.11.
+# Building and deciding a module takes about 90 bytes and 0.3 us of CPU per
+# entry: m = 2 at p = 2003 (dim 1001) 97 MB and 0.29 s, Hermitian p = 47
+# (dim 1081) 97 MB and 0.33 s, on a 2-CPU x86_64 machine with Python 3.11.
 # The budget admits dim 1448.
 MODULE_ENTRY_BUDGET = 2**21
 
@@ -151,37 +145,43 @@ def _element_powers(K, c, n):
 
 
 def generator_matrix(B: DifferentialBasis, sigma: CurveAutomorphism, K=None) -> FieldMatrix:
-    """Matrix of the pullback of sigma in the differential basis.
+    """Matrix of the pullback of sigma = (A, mu) in the differential basis,
+    over K (F_{p^2} by default), once sigma passes `check_automorphism` on
+    y^m = x^p - x, whose weight is m'.  Columns are images of basis
+    vectors; composing maps left-to-right (CurveAutomorphism.compose)
+    corresponds to the matrix product in the same order.  The pullback
+    sends x^i dx / y^j to det(A) mu^(-j) (a x + b)^i (c x + d)^(m'j - 2 - i)
+    dx / y^j, so block j is det(A) mu^(-j) Sym^(m'j - 2)(A)."""
+    check_automorphism(sigma, _artin_schreier_poly(make_field(B.p)), B.m, B.m_prime)
+    return _pullback_matrix(B, sigma, K or make_field(B.p, 2))
 
-    Columns are images of basis vectors; composing maps left-to-right
-    (CurveAutomorphism.compose) corresponds to the matrix product in the
-    same order.  The zeta map is diagonal, with entry z^(-j) on the
-    x^i dx / y^j row.  A Moebius map has its entries in F_p: the column of
-    x^i dx / y^j is (a x + b)^i (c x + d)^(m' j - 2 - i), so block j is
-    Sym^(m' j - 2) of a 2 x 2 matrix over F_p, written in residue slot 0.
-    """
-    if K is None:
-        K = make_field(B.p, 2)
-    p = K.p
-    if sigma.kind == "zeta":
-        z = sigma.zeta if sigma.zeta.field == K else lift_to(sigma.zeta, K)
-        if _power(K, z.coeffs, B.m) != K.one().coeffs:
-            raise InvalidCurveError("zeta is not an m-th root of unity")
-        diagonal = _element_powers(K, _inverse(K, z.coeffs), B.m)
-        return _square_matrix(K, B.dim, [(c, c, diagonal[j]) for c, (j, _) in enumerate(B.entries)])
-    if sigma.kind != "mobius":
-        raise InvalidCurveError(f"unknown automorphism kind {sigma.kind!r}")
-    if any(t.field.p != p or any(t.coeffs[1:]) for t in sigma.abcd):
-        raise InvalidCurveError("Moebius entries must lie in the prime field")
-    a, b, c, d = (t.coeffs[0] for t in sigma.abcd)
-    tops = [B.m_prime * j - 2 for j in range(1, B.m)]
-    pieces, start = [], 0
-    for top, block in zip(tops, _sym_power_columns(_trim([b, a]), _trim([d, c]), tops, K._prime)):
-        # row t of the block holds the X^t coefficients of its columns
-        rows = zip(*[pol + [0] * (top + 1 - len(pol)) for pol in block])
+
+def _pullback_matrix(B, sigma, K):
+    """The blocks det(A) mu^(-j) Sym^(m' j - 2)(A) of `generator_matrix`,
+    over the smallest field that holds A's entries and mu: F_p, written in
+    residue slot 0, or K.  The vertical map (I, mu) is diagonal, with
+    mu^(-j) on block j; any other A goes through `_sym_power_columns`."""
+    elements = (*sigma.abcd, sigma.mu)
+    F = K if any(any(t.coeffs[1:]) for t in elements) else K._prime or K
+    p, w, one = K.p, F.k, [1] + [0] * (F.k - 1)
+    a, b, c, d, mu = (list(lift_to(t, K).coeffs) if F is K else [t.coeffs[0]] for t in elements)
+    if a == d == one and not any(b) and not any(c):
+        scales = _element_powers(F, _inverse(F, mu), B.m)
+        return _square_matrix(K, B.dim, [(r, r, scales[j]) for r, (j, _) in enumerate(B.entries)], w)
+    inv, s = _mul_matrix(F, _inverse(F, mu)), [(x - y) % p for x, y in zip(_times(_mul_matrix(F, a), d, p),
+                                                                           _times(_mul_matrix(F, b), c, p))]
+    tops, pieces, start = [B.m_prime * j - 2 for j in range(1, B.m)], [], 0
+    for top, block in zip(tops, _sym_power_columns(_trim(b + a, w), _trim(d + c, w), tops, F)):
+        s = _times(inv, s, p)  # det(A) mu^(-j)
+        if s != one:
+            block = [_scale(pol, s, F) for pol in block]
+        # the residues of every column's X^t coefficient, interleaved, make row t
+        rows = zip(*[pol + [0] * ((top + 1) * w - len(pol)) for pol in block])
+        if w > 1:
+            rows = [list(itertools.chain(*zip(*planes))) for planes in zip(*[rows] * w)]
         pieces += [(start + t, start, row) for t, row in enumerate(rows)]
         start += top + 1
-    return _square_matrix(K, B.dim, pieces, 1)
+    return _square_matrix(K, B.dim, pieces, w)
 
 
 def _sym_power_columns(f, g, degrees, K):
@@ -190,13 +190,17 @@ def _sym_power_columns(f, g, degrees, K):
     residue lists in X, the first variable with the second set to 1:
     column i is f^i g^(n-i), whose X^t coefficient is its entry on the
     monomial of degree t in X.  Every power is taken once and a column is
-    one product, where no factor is 1: x -> x + 1 and x -> -1/x each send
-    one variable to the constant 1, so their columns are powers.
+    one product, a shift and a scaling where a factor is a monomial c X^s:
+    x -> x + 1 and x -> -1/x send one variable to 1 and one to X or -X.
     """
-    one = [1] + [0] * (K.k - 1)
+    k, one = K.k, [1] + [0] * (K.k - 1)
 
     def times(a, b):
-        return b if a == one else a if b == one else _polymul(a, b, K)
+        if a == one or b == one:
+            return b if a == one else a
+        if any(b[:-k]):
+            a, b = b, a
+        return _polymul(a, b, K) if any(b[:-k]) else [0] * (len(b) - k) + _scale(a, b[-k:], K)
 
     fp, gp = [one], [one]
     for _ in range(max(degrees, default=0)):
@@ -238,7 +242,7 @@ def canonical_module(p: int, m: int) -> RepresentationModule:
 
     For m < p+1 the group is generated by the vertical root-of-unity map
     and the SL(2, F_p) lifts, acting by pullback in the differential
-    basis.  For m = p+1 those two kinds only generate a proper subgroup
+    basis.  For m = p+1 those maps only generate a proper subgroup
     that fixes every y-power block; the full automorphism group of the
     maximal-genus member is the projective unitary group of the smooth
     plane model, so its action is realized on the degree-(p-2) monomial
@@ -251,7 +255,9 @@ def canonical_module(p: int, m: int) -> RepresentationModule:
     zeta = zeta_of_order(K, m)
     zmap = CurveAutomorphism.root_of_unity(zeta, m)
     t, s = sl2_generators(p)
-    gens = tuple([generator_matrix(B, g, K) for g in (zmap, t, s)])
+    # automorphisms by construction, so unchecked: zeta^m = 1, and on
+    # f = x^p - x an A in SL(2, F_p) has f(A x) (c x + d)^(p + 1) = f(x)
+    gens = tuple([_pullback_matrix(B, g, K) for g in (zmap, t, s)])
     labels = ("zeta_m", "x -> x + 1", "x -> -1/x")
     return RepresentationModule(p=p, m=m, field=K, dim=B.dim, generators=gens, labels=labels)
 
@@ -371,11 +377,12 @@ def certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
 
     Under either premise R is irreducible iff the union of the generators'
     support digraphs is strongly connected.  Under the flag premise the
-    superdiagonal is the path 0 -> 1 -> ... -> dim-1, so that holds iff
-    every cut {>= k} -> {< k} has an edge: iff some generator moves each
-    V_k.  The verdict holds over every extension field, so it is absolute,
-    and Schur's lemma gives commutant dimension 1.  A module of dimension
-    below 2 is left to the MeatAxe.
+    superdiagonal is the path 0 -> 1 -> ... -> dim-1, which implies every
+    other edge of the Jordan block and stands for it in the union, so that
+    holds iff every cut {>= k} -> {< k} has an edge: iff some generator
+    moves each V_k.  The verdict holds over every extension field, so it
+    is absolute, and Schur's lemma gives commutant dimension 1.  A module
+    of dimension below 2 is left to the MeatAxe.
     """
     if R.dim < 2:
         return None
@@ -394,8 +401,11 @@ def certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
     orbits = (list(range(R.dim)) if d else _monomial_columns(P) for P, d in zip(gens, diagonal))
     weights = bool(entries) and any(_orbit_values_differ(D, back)
                                     for back in orbits if back is not None for D in entries)
-    if weights or any(map(_is_jordan_block, gens)):
-        adjs = [G._adjacency() for G in gens]
+    jordan = [_is_jordan_block(G) for G in gens]
+    if weights or any(jordan):
+        # a Jordan block's edges i -> j > i all follow its superdiagonal path
+        path = [[i + 1] for i in range(R.dim - 1)] + [[]]
+        adjs = [path if J else G._adjacency() for G, J in zip(gens, jordan)]
         if len(_strong_components([list(itertools.chain.from_iterable(out)) for out in zip(*adjs)])) == 1:
             return IrreducibilityVerdict("absolutely-irreducible", None, 1, WEIGHT_ROUTE if weights else FLAG_ROUTE)
     return None

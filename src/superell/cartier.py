@@ -56,11 +56,11 @@ class PRankClass:
 
 # Work `hasse_witt` admits: the deg f (p-1)/2 coefficients of f^((p-1)/2)
 # plus the g^2 entries of its window.  Over F_p on a 2-CPU x86_64 machine
-# (Python 3.11), y^2 = x^41 + x + 1 takes 0.05 s at p = 1009 (20k
-# coefficients), 3 s at p = 10007 (205k), 9 s at p = 20011 (410k) and 27 s
-# at p = 40009 (820k): the cost grows like n^1.6.  Above the limit the call
-# is refused before any arithmetic.  The stable product, about g^3 log g,
-# needs no budget of its own: the g^2 term already caps g at 724.
+# (Python 3.11), y^2 = x^41 + x + 1 takes 0.02 s of CPU at p = 1009 (20k
+# coefficients), 1.2 s at p = 10007 (205k), 3.6 s at p = 20011 (410k) and
+# 10 s at p = 40009 (820k): the cost grows like n^1.6.  Above the limit
+# the call is refused before any arithmetic.  The stable product, about
+# g^3 log g, needs no budget of its own: the g^2 term already caps g at 724.
 HASSE_WITT_WORK_LIMIT = 2**19
 
 

@@ -17,9 +17,9 @@ logarithm of y^m = f(x) gives y.
 
 ``kind`` is a derived label, not a parameter: ``hyperelliptic`` when
 m = 2 (the Frobenius-matrix machinery applies), ``artin-schreier-quotient``
-for y^m = x^p - x over F_p with m | p+1 and m > 2 (the family whose
-automorphisms are generated by a vertical root-of-unity map and lifts of
-SL(2, F_p) acting on the x-line), and ``general`` otherwise.
+for y^m = x^p - x over F_p with m | p+1 and m > 2, and ``general``
+otherwise.  An automorphism is one pair (A, mu) (`CurveAutomorphism`),
+which one polynomial identity admits (`check_automorphism`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ ASQ = "artin-schreier-quotient"
 GENERAL = "general"
 
 INFINITY = ("inf", 0)
-INFINITY_CONJ = ("inf", 1)
 
 
 class UnsupportedModelError(ValueError):
@@ -109,9 +108,9 @@ class SuperellipticCurve:
 
     @property
     def m_prime(self) -> int:
-        if not self.in_quotient_family():
-            raise UnsupportedModelError("m' is defined for the y^m = x^p - x family")
-        return (self.p + 1) // self.m
+        """The weight e = ceil(deg f / m) by which an automorphism
+        (`CurveAutomorphism`) scales y: m' = (p + 1) / m on the family."""
+        return -(-self.f.degree // self.m)
 
     def __eq__(self, other):
         return isinstance(other, SuperellipticCurve) and self.m == other.m and self.f == other.f
@@ -125,7 +124,7 @@ class SuperellipticCurve:
 
 def _artin_schreier_poly(field: FieldDescriptor) -> Polynomial:
     p = field.p
-    return Polynomial(field, [0, -1] + [0] * (p - 2) + [1])
+    return Polynomial._of(field, [0, p - 1] + [0] * (p - 2) + [1])
 
 
 def genus(X: SuperellipticCurve) -> int:
@@ -240,109 +239,96 @@ def enumerate_points(X: SuperellipticCurve, e: int):
 
 
 class CurveAutomorphism:
-    """Either a vertical root-of-unity map or a Moebius lift.
-
-    * ``zeta`` kind: (x, y) -> (x, zeta * y) with zeta^m = 1;
-    * ``mobius`` kind: (a, b, c, d) in SL(2, F_p) acting by
-      (x, y) -> ((a x + b) / (c x + d), y / (c x + d)^m')
-      on the y^m = x^p - x family, where m' = (p + 1) / m.
+    """One map (A, mu) over one field, A = (a, b; c, d) and mu a unit, acting
+    on a curve y^m = f(x) of weight e (`SuperellipticCurve.m_prime`) by
+    (x, y) -> ((a x + b) / (c x + d), mu y / (c x + d)^e).  It is an
+    automorphism exactly when `check_automorphism` holds, which also
+    rejects a singular A, since f is squarefree of degree >= 1.  The
+    vertical map is (I, zeta); a Moebius lift on y^m = x^p - x is (A, 1).
     """
 
-    __slots__ = ("kind", "zeta", "order_m", "abcd")
+    __slots__ = ("abcd", "mu")
 
-    def __init__(self, kind, zeta=None, order_m=None, abcd=None):
-        self.kind = kind
-        self.zeta = zeta
-        self.order_m = order_m
-        self.abcd = abcd
+    def __init__(self, abcd, mu: FieldElement):
+        if any(t.field != mu.field for t in abcd) or mu.is_zero():
+            raise InvalidCurveError("A's entries and mu must share one field, and mu must be a unit")
+        self.abcd = tuple(abcd)
+        self.mu = mu
 
     @classmethod
     def root_of_unity(cls, zeta: FieldElement, m: int) -> "CurveAutomorphism":
         if zeta**m != zeta.field.one():
             raise InvalidCurveError("zeta^m != 1 in its field of definition")
-        return cls("zeta", zeta=zeta, order_m=m)
+        return cls((zeta.field.one(), zeta.field.zero(), zeta.field.zero(), zeta.field.one()), zeta)
 
     @classmethod
     def mobius(cls, a, b, c, d) -> "CurveAutomorphism":
-        field = a.field
-        for entry in (b, c, d):
-            if entry.field != field:
-                raise InvalidCurveError("Moebius entries must share one field")
-        if field.k != 1:
+        sigma = cls((a, b, c, d), a.field.one())
+        if a.field.k != 1:
             raise InvalidCurveError("Moebius entries must lie in the prime field")
-        if a * d - b * c != field.one():
+        if a * d - b * c != a.field.one():
             raise InvalidCurveError("Moebius matrix must have determinant 1")
-        return cls("mobius", abcd=(a, b, c, d))
+        return sigma
 
     @classmethod
     def mobius_ints(cls, field: FieldDescriptor, a, b, c, d) -> "CurveAutomorphism":
         return cls.mobius(field.element(a), field.element(b), field.element(c), field.element(d))
 
     def compose(self, then: "CurveAutomorphism") -> "CurveAutomorphism":
-        """The map 'apply self first, then `then`' (left-to-right product)."""
-        if self.kind == "zeta" and then.kind == "zeta":
-            return CurveAutomorphism.root_of_unity(self.zeta * then.zeta, self.order_m)
-        if self.kind == "mobius" and then.kind == "mobius":
-            a1, b1, c1, d1 = self.abcd
-            a2, b2, c2, d2 = then.abcd
-            # as 2x2 matrices acting on column vectors: M(then) @ M(self)
-            return CurveAutomorphism.mobius(
-                a2 * a1 + b2 * c1,
-                a2 * b1 + b2 * d1,
-                c2 * a1 + d2 * c1,
-                c2 * b1 + d2 * d1,
-            )
-        raise UnsupportedModelError("composition across kinds is not represented")
+        """The map 'apply self first, then `then`': then's matrix times self's,
+        with the multipliers multiplied, over the larger of the two fields."""
+        K = self.mu.field if self.mu.field.k > 1 else then.mu.field
+        a1, b1, c1, d1, mu1 = (lift_to(t, K) for t in (*self.abcd, self.mu))
+        a2, b2, c2, d2, mu2 = (lift_to(t, K) for t in (*then.abcd, then.mu))
+        return CurveAutomorphism((a2 * a1 + b2 * c1, a2 * b1 + b2 * d1, c2 * a1 + d2 * c1, c2 * b1 + d2 * d1),
+                                 mu1 * mu2)
 
     def __repr__(self):
-        if self.kind == "zeta":
-            return f"(x, y) -> (x, {self.zeta!r} * y)"
-        a, b, c, d = self.abcd
-        return f"mobius({a!r}, {b!r}, {c!r}, {d!r})"
+        return f"CurveAutomorphism({self.abcd!r}, {self.mu!r})"
+
+
+def check_automorphism(sigma: CurveAutomorphism, f: Polynomial, m: int, e: int) -> None:
+    """Raise InvalidCurveError unless sigma is an automorphism of y^m = f(x)
+    of weight e: f(A x) (c x + d)^(m e), the sum over the terms f_n x^n of f
+    of f_n (a x + b)^n (c x + d)^(m e - n), is mu^m f(x) as a polynomial over
+    the larger of the two fields; the other must be F_p."""
+    L, F = sigma.mu.field, f.field
+    if L.p != F.p or (L.k > 1 and F.k > 1 and L != F):
+        raise InvalidCurveError(f"no common field for the map over {L!r} and the curve over {F!r}")
+    K = F if F.k > 1 else L
+    a, b, c, d, mu = (lift_to(t, K) for t in (*sigma.abcd, sigma.mu))
+    f, u, v, left = f.lift_coeffs(K), Polynomial(K, [b, a]), Polynomial(K, [d, c]), Polynomial.zero(K)
+    for n, fn in enumerate(f.coeffs):
+        if not fn.is_zero():
+            left = left + (u**n * v**(m * e - n)).scale(fn)
+    if left != f.scale(mu**m):
+        raise InvalidCurveError("not an automorphism of the curve: f(A x) (c x + d)^(m e) != mu^m f(x)")
 
 
 def apply_automorphism(X: SuperellipticCurve, sigma: CurveAutomorphism, point):
-    """Image of a rational point under the automorphism.
+    """Image of a rational point under sigma, which must pass
+    `check_automorphism` on X.  A pole (x = -d/c, or infinity) needs one
+    point at infinity, gcd(m, deg f) = 1; infinity then goes to the one
+    point over x = a/c, a root of f, since the map keeps fibre sizes."""
+    check_automorphism(sigma, X.f, X.m, X.m_prime)
+    return _image(X, sigma, point)
 
-    Pole handling follows the one-point-at-infinity normalization of the
-    y^m = x^p - x family: the Moebius action permutes the branch fiber
-    P^1(F_p) = {(a, 0)} u {infinity}.
-    """
-    if sigma.kind == "zeta":
-        if sigma.zeta ** X.m != sigma.zeta.field.one():
-            raise InvalidCurveError("zeta is not an m-th root of unity for this curve")
-        if is_infinite(point):
-            if math.gcd(X.m, X.f.degree) > 1:
-                raise UnsupportedModelError(
-                    "vertical action on several points at infinity is ambiguous"
-                )
-            return point
+
+def _image(X: SuperellipticCurve, sigma: CurveAutomorphism, point):
+    if not is_infinite(point):
         x, y = point
-        z = sigma.zeta if sigma.zeta.field == y.field else lift_to(sigma.zeta, y.field)
-        return (x, z * y)
-    # Moebius kind: the y^m = x^p - x family only
-    if not X.in_quotient_family():
-        raise UnsupportedModelError("Moebius maps act on the y^m = x^p - x family")
-    mp = X.m_prime
-    if is_infinite(point):
-        a, b, c, d = sigma.abcd
-        if c.is_zero():
-            return INFINITY
-        # the image lies over x = a/c in F_p, necessarily the branch
-        # point (a/c, 0); returned over F_p, lift as needed
-        x0 = a * c.inverse()
-        return (x0, x0.field.zero())
-    x, y = point
-    K = x.field
-    a, b, c, d = (lift_to(t, K) for t in sigma.abcd)
-    den = c * x + d
-    if den.is_zero():
-        if not y.is_zero():
-            raise AssertionError("pole hit outside the branch fiber")
+        a, b, c, d, mu = (lift_to(t, x.field) for t in (*sigma.abcd, sigma.mu))
+        den = c * x + d
+        if not den.is_zero():
+            inv = den.inverse()
+            return ((a * x + b) * inv, mu * y * inv**X.m_prime)
+    # a pole: the point at infinity, or the point over x = -d/c, which goes there
+    if math.gcd(X.m, X.f.degree) > 1:
+        raise UnsupportedModelError("the action on several points at infinity is ambiguous")
+    a, _, c, _ = sigma.abcd
+    if not is_infinite(point) or c.is_zero():
         return INFINITY
-    new_x = (a * x + b) * den.inverse()
-    new_y = y * (den.inverse() ** mp)
-    return (new_x, new_y)
+    return (a / c, c.field.zero())
 
 
 def orbit_partition(X: SuperellipticCurve, gens, e: int):
@@ -353,6 +339,8 @@ def orbit_partition(X: SuperellipticCurve, gens, e: int):
     Applying only the generators suffices: orbits of a finite group are
     closed under the generating monoid.
     """
+    for g in gens:
+        check_automorphism(g, X.f, X.m, X.m_prime)
     points = enumerate_points(X, e)
     K = _extension_for(X, e)
     index = {p: i for i, p in enumerate(points)}
@@ -367,8 +355,7 @@ def orbit_partition(X: SuperellipticCurve, gens, e: int):
         while frontier:
             current = frontier.pop()
             for g in gens:
-                img = apply_automorphism(X, g, current)
-                img = _normalize_point(img, K)
+                img = _normalize_point(_image(X, g, current), K)
                 j = index.get(img)
                 if j is None:
                     raise AssertionError("automorphism left the rational point set")

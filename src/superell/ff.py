@@ -581,6 +581,8 @@ def _elements(field, flat):
 def _mul_matrix(K, c):
     """Rows of the F_p-matrix of y -> c y on residue vectors of K: column b
     holds the residues of c x^b, folded through `_reductions`."""
+    if K.k == 1:
+        return [tuple(c)]
     cols = [list(c)]
     for _ in range(K.k - 1):
         top = cols[-1][-1]

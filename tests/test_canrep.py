@@ -31,7 +31,8 @@ from superell.canrep import (
     _sample_algebra_element,
     zeta_of_order,
 )
-from superell.curve import CurveAutomorphism, InvalidCurveError
+from superell.curve import (CurveAutomorphism, InvalidCurveError, SuperellipticCurve, _normalize_point,
+                            apply_automorphism, enumerate_points)
 from superell.ff import WorkBudgetError, check_budget, is_prime, lift_to, make_field
 from superell.linalg import FieldMatrix, is_invariant_subspace
 from superell.poly import Polynomial, poly_pow, roots_in_field
@@ -132,6 +133,51 @@ def test_homomorphism_property(p):
             assert left == right
 
 
+def test_generator_matrix_of_a_mixed_composite_is_the_product():
+    p, m = 7, 4
+    B, K = build_basis(p, m), make_field(p, 2)
+    zeta = CurveAutomorphism.root_of_unity(zeta_of_order(K, m), m)
+    t, s = sl2_generators(p)
+    for u, v in ((zeta, t), (s, zeta), (zeta, zeta)):
+        assert generator_matrix(B, u.compose(v), K) == generator_matrix(B, u, K) @ generator_matrix(B, v, K)
+
+
+def _field_element(K, i):
+    """Element i of `elements()` order: the base-p digits of i as residues."""
+    return K.element([i // K.p**u % K.p for u in reversed(range(K.k))])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_gl2_lifts_over_fp2_are_automorphisms(data):
+    # (lambda A0, mu) with A0 in GL(2, F_p), lambda in F_(p^2)^x and
+    # mu^m = det(A0) lambda^(p+1), which F_(p^2) holds since F_p^x lies in
+    # the m-th powers when m | p + 1
+    p = data.draw(st.sampled_from([3, 5, 7]), "p")
+    m = data.draw(st.sampled_from([m for m in range(2, p + 2) if (p + 1) % m == 0]), "m")
+    abcd = data.draw(st.tuples(*[st.integers(0, p - 1)] * 4).filter(lambda v: (v[0] * v[3] - v[1] * v[2]) % p), "A0")
+    K = make_field(p, 2)
+    lam = _field_element(K, data.draw(st.integers(1, p * p - 1), "lambda"))
+    target = K.element(abcd[0] * abcd[3] - abcd[1] * abcd[2]) * lam**(p + 1)
+    mu = next(z for z in K.elements() if not z.is_zero() and z**m == target)
+    sigma = CurveAutomorphism(tuple(K.element(v) * lam for v in abcd), mu)
+    X = SuperellipticCurve(m, Polynomial(make_field(p), [0, -1] + [0] * (p - 2) + [1]))
+    points = enumerate_points(X, 2)
+    assert {_normalize_point(apply_automorphism(X, sigma, P), K) for P in points} == set(points)
+    B = build_basis(p, m)
+    zeta = CurveAutomorphism.root_of_unity(zeta_of_order(K, m), m)
+    for other in (zeta, *sl2_generators(p)):
+        for u, v in ((sigma, other), (other, sigma)):
+            assert generator_matrix(B, u.compose(v), K) == generator_matrix(B, u, K) @ generator_matrix(B, v, K)
+    eta = next(z for z in K.elements() if not z.is_zero() and z**m != K.one())
+    with pytest.raises(InvalidCurveError):
+        generator_matrix(B, CurveAutomorphism(sigma.abcd, mu * eta), K)
+    # b + lambda gamma, gamma outside F_p: A is no longer a multiple of an F_p matrix
+    a, b, c, d = sigma.abcd
+    with pytest.raises(InvalidCurveError):
+        apply_automorphism(X, CurveAutomorphism((a, b + lam * K.gen(), c, d), mu), points[0])
+
+
 def first_element_of_order(K, m):
     """The first z in `elements()` order with z^m = 1 and z^(m/r) != 1 for
     every prime r | m."""
@@ -186,19 +232,13 @@ def test_zeta_of_order_without_the_line_shortcut(p, k, m):
 
 
 def reference_generator_matrix(B, sigma, K):
-    """The pullback matrix by FieldElement polynomial products: z^(-j) on the
-    diagonal for the zeta map, and the coefficients of
-    (a x + b)^i (c x + d)^(m' j - 2 - i) in the column of x^i dx / y^j."""
+    """The pullback matrix by FieldElement polynomial products: the
+    coefficients of det(A) mu^(-j) (a x + b)^i (c x + d)^(m' j - 2 - i) in
+    the column of x^i dx / y^j."""
     idx = {ji: r for r, ji in enumerate(B.entries)}
     cols = []
-    if sigma.kind == "zeta":
-        z = lift_to(sigma.zeta, K)
-        for j, i in B.entries:
-            col = [K.zero()] * B.dim
-            col[idx[(j, i)]] = (z**j).inverse()
-            cols.append(col)
-        return FieldMatrix.from_columns(K, cols)
     a, b, c, d = (lift_to(t, K) for t in sigma.abcd)
+    mu, det = lift_to(sigma.mu, K), a * d - b * c
     ax_b, cx_d = [Polynomial.one(K)], [Polynomial.one(K)]
     for _ in range(B.m_prime * (B.m - 1) - 2):
         ax_b.append(ax_b[-1] * Polynomial(K, [b, a]))
@@ -207,9 +247,10 @@ def reference_generator_matrix(B, sigma, K):
         top = B.m_prime * j - 2
         pol = ax_b[i] * cx_d[top - i]
         assert pol.degree <= top
+        scale = det * (mu**j).inverse()
         col = [K.zero()] * B.dim
         for ip in range(pol.degree + 1):
-            col[idx[(j, ip)]] = pol.coeff(ip)
+            col[idx[(j, ip)]] = scale * pol.coeff(ip)
         cols.append(col)
     return FieldMatrix.from_columns(K, cols)
 
@@ -233,18 +274,18 @@ def test_generator_matrix_takes_prime_field_entries_only():
     B, K = build_basis(7, 4), make_field(7, 2)
     t, _ = sl2_generators(7)
     # the same Moebius map with its entries in F_49 gives the same matrix
-    lifted = CurveAutomorphism("mobius", abcd=tuple(lift_to(e, K) for e in t.abcd))
+    lifted = CurveAutomorphism(tuple(lift_to(e, K) for e in t.abcd), K.one())
     assert generator_matrix(B, lifted, K) == generator_matrix(B, t, K)
-    outside = CurveAutomorphism("mobius", abcd=(K.one(), K.gen(), K.zero(), K.one()))
+    outside = CurveAutomorphism((K.one(), K.gen(), K.zero(), K.one()), K.one())
     with pytest.raises(InvalidCurveError):
         generator_matrix(B, outside, K)
     other = make_field(5)
-    foreign = CurveAutomorphism("mobius", abcd=tuple(other.element(v) for v in (1, 1, 0, 1)))
+    foreign = CurveAutomorphism(tuple(other.element(v) for v in (1, 1, 0, 1)), other.one())
     with pytest.raises(InvalidCurveError):
         generator_matrix(B, foreign, K)
     with pytest.raises(InvalidCurveError):
         # (1 + x)^4 = -4 in F_49 = F_7[x]/(x^2 + 1)
-        generator_matrix(B, CurveAutomorphism("zeta", zeta=K.element([1, 1]), order_m=4), K)
+        generator_matrix(B, CurveAutomorphism((K.one(), K.zero(), K.zero(), K.one()), K.element([1, 1])), K)
 
 
 # sha256 of the labels and residue rows of every generator of
@@ -666,6 +707,16 @@ def test_certificate_classifies_each_generator_once(monkeypatch):
         calls.clear()
         assert certificate(R) is not None
         assert len(calls) <= len(R.generators), (p, m)
+
+
+def test_certificate_reads_a_jordan_block_as_its_superdiagonal_path(monkeypatch):
+    calls = []
+    adjacency = FieldMatrix._adjacency
+    monkeypatch.setattr(FieldMatrix, "_adjacency", lambda self: calls.append(self) or adjacency(self))
+    R = canonical_module(167, 2)
+    v = certificate(R)
+    assert (v.verdict, v.route) == ("absolutely-irreducible", FLAG_ROUTE)
+    assert R.labels[1] == "x -> x + 1" and all(G is not R.generators[1] for G in calls)
 
 
 def test_grading_certificate_decides_the_largest_reducible_module_faster_than_it_is_built():

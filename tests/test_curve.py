@@ -469,3 +469,16 @@ def test_point_sets_and_root_sets_keep_their_pinned_digests():
     }
     for pinned, (f, K) in roots.items():
         assert digest(sorted(r.coeffs for r in roots_in_field(f, K))) == pinned, (f, K)
+
+
+def test_gl2_lift_with_determinant_two_permutes_the_fp2_points():
+    # x -> (2 x + 1) over y^3 = x^5 - x, scaled by lambda = the generator of
+    # F_25: f(A x) (c x + d)^6 = det(A) lambda^6 f(x), and mu^3 matches it
+    X = curve(3, [0, -1, 0, 0, 0, 1], 5)
+    K = make_field(5, 2)
+    lam = K.gen()
+    mu = next(z for z in K.elements() if not z.is_zero() and z**3 == K.element(2) * lam**6)
+    sigma = CurveAutomorphism(tuple(K.element(v) * lam for v in (2, 1, 0, 1)), mu)
+    pts = enumerate_points(X, 2)
+    assert {_normalize_point(apply_automorphism(X, sigma, P), K) for P in pts} == set(pts)
+    assert apply_automorphism(X, sigma, INFINITY) == INFINITY

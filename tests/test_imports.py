@@ -30,3 +30,31 @@ def test_the_scan_sees_every_kind_of_import(tmp_path):
     path.write_text("import os.path, numpy as np\nfrom . import ff\nfrom .poly import x\n"
                     "from sympy import S\ndef f():\n    import json\n")
     assert list(imported_modules(path)) == ["os.path", "numpy", "superell", "superell", "sympy", "json"]
+
+
+def test_every_re_export_is_importable():
+    init = Path(superell.__file__)
+    names = [alias.name for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert len(names) >= 50
+    for name in names:
+        assert hasattr(superell, name), name
+
+
+def test_automorphism_signatures_are_pinned():
+    import inspect
+
+    from superell.canrep import generator_matrix
+    from superell.curve import CurveAutomorphism, apply_automorphism, orbit_partition
+
+    pinned = {
+        CurveAutomorphism.root_of_unity: "(zeta: 'FieldElement', m: 'int') -> \"'CurveAutomorphism'\"",
+        CurveAutomorphism.mobius: "(a, b, c, d) -> \"'CurveAutomorphism'\"",
+        CurveAutomorphism.mobius_ints: "(field: 'FieldDescriptor', a, b, c, d) -> \"'CurveAutomorphism'\"",
+        CurveAutomorphism.compose: "(self, then: \"'CurveAutomorphism'\") -> \"'CurveAutomorphism'\"",
+        apply_automorphism: "(X: 'SuperellipticCurve', sigma: 'CurveAutomorphism', point)",
+        orbit_partition: "(X: 'SuperellipticCurve', gens, e: 'int')",
+        generator_matrix: "(B: 'DifferentialBasis', sigma: 'CurveAutomorphism', K=None) -> 'FieldMatrix'",
+    }
+    for function, signature in pinned.items():
+        assert str(inspect.signature(function)) == signature, function.__qualname__
