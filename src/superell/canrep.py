@@ -9,8 +9,13 @@ keeps each j-block and acts there as det(A) mu^(-j) Sym^(m'j - 2)(A)
 lifts x -> x + 1 and x -> -1/x generate the module, over F_{p^2}, which
 contains the m-th roots of unity because m | p+1.
 
+Each generator is kept as the pieces its builder makes (a
+`linalg._PieceMatrix`): diagonal entries, single entries or the rows of
+each Sym^n block.  Its dense rows are built only when a caller reads
+them: the MeatAxe, `@`, equality and hashing, `rows` and `rep --json`.
+
 Irreducibility is decided first by `certificate`, one pass that reads
-only the generators' residues and checks its premises at runtime.  Its
+only the generators' pieces and checks its premises at runtime.  Its
 grading premise certifies reducible modules: zeta_m is diagonal, and for
 2 < m < p+1 every generator keeps its eigenspaces, the j-blocks, so the
 j = 1 block is the witness.  Its weight and flag premises, with a
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -46,7 +52,8 @@ from typing import Optional
 from .curve import CurveAutomorphism, _artin_schreier_poly, check_automorphism
 from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _norm, _polymul, _power, _prime_divisors, _scale,
                  _times, _trim, check_budget, is_prime, lift_to, make_field)
-from .linalg import FieldMatrix, _Rows, _strong_components, _Transpose, _unit_rows, is_invariant_subspace, spin
+from .linalg import (FieldMatrix, _adjacency, _diagonal_entries, _PieceMatrix, _pieces, _strong_components, _Transpose,
+                     _unit_rows, is_invariant_subspace, spin)
 from .poly import Polynomial, roots_in_field
 
 
@@ -69,10 +76,11 @@ class DifferentialBasis:
         return self.entries.index((j, i))
 
 
-# Building and deciding a module takes about 90 bytes and 0.3 us of CPU per
-# entry: m = 2 at p = 2003 (dim 1001) 97 MB and 0.29 s, Hermitian p = 47
-# (dim 1081) 97 MB and 0.33 s, on a 2-CPU x86_64 machine with Python 3.11.
-# The budget admits dim 1448.
+# Building and deciding keeps the generators' pieces: m = 2 at p = 2003
+# (dim 1001) 40 MB of peak RSS and 0.12 s, Hermitian p = 47 (dim 1081)
+# 7.5 MB and 0.07 s, on a 2-CPU x86_64 machine with Python 3.11.  The budget
+# counts dim^2 entries, as `rep --json` builds every entry: about 75 bytes
+# and 0.1 us more per entry.  The budget admits dim 1448.
 MODULE_ENTRY_BUDGET = 2**21
 
 
@@ -167,7 +175,7 @@ def _pullback_matrix(B, sigma, K):
     a, b, c, d, mu = (list(lift_to(t, K).coeffs) if F is K else [t.coeffs[0]] for t in elements)
     if a == d == one and not any(b) and not any(c):
         scales = _element_powers(F, _inverse(F, mu), B.m)
-        return _square_matrix(K, B.dim, [(r, r, scales[j]) for r, (j, _) in enumerate(B.entries)], w)
+        return _PieceMatrix(K, B.dim, [(r, r, scales[j]) for r, (j, _) in enumerate(B.entries)], w)
     inv, s = _mul_matrix(F, _inverse(F, mu)), [(x - y) % p for x, y in zip(_times(_mul_matrix(F, a), d, p),
                                                                            _times(_mul_matrix(F, b), c, p))]
     tops, pieces, start = [B.m_prime * j - 2 for j in range(1, B.m)], [], 0
@@ -181,7 +189,7 @@ def _pullback_matrix(B, sigma, K):
             rows = [list(itertools.chain(*zip(*planes))) for planes in zip(*[rows] * w)]
         pieces += [(start + t, start, row) for t, row in enumerate(rows)]
         start += top + 1
-    return _square_matrix(K, B.dim, pieces, w)
+    return _PieceMatrix(K, B.dim, pieces, w)
 
 
 def _sym_power_columns(f, g, degrees, K):
@@ -207,25 +215,6 @@ def _sym_power_columns(f, g, degrees, K):
         fp.append(times(fp[-1], f))
         gp.append(times(gp[-1], g))
     return [[times(fp[i], gp[n - i]) for i in range(n + 1)] for n in degrees]
-
-
-def _square_matrix(K, dim, pieces, width=None):
-    """The dim x dim matrix over K with the flat residues vals, `width` per
-    entry (k by default; 1 puts F_p residues in slot 0), along row r from
-    column c on, for each (r, c, vals) in pieces, and zeros elsewhere.
-    Each row is filled in a list of its own, which measured about twice
-    as fast as slicing one dim^2 list into rows."""
-    k, width = K.k, width or K.k
-    by_row = [[] for _ in range(dim)]
-    for r, c, vals in pieces:
-        by_row[r].append((c * k, vals))
-    zero, out = [0] * (dim * k), []
-    for row_pieces in by_row:
-        row = zero.copy()
-        for s, vals in row_pieces:
-            row[s:s + len(vals) // width * k:k // width] = vals
-        out.append(tuple(row))
-    return FieldMatrix(K, _Rows(K, out))
 
 
 def sl2_generators(p: int):
@@ -291,9 +280,9 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
     index = {mono: r for r, mono in enumerate(monos)}
     one = K.one().coeffs
     zeta_powers = _element_powers(K, zeta_of_order(K, p + 1).coeffs, n + 1)
-    mats = [_square_matrix(K, dim, [(r, r, zeta_powers[a]) for r, (a, _, _) in enumerate(monos)]),
-            _square_matrix(K, dim, [(index[(c, a, b)], r, one) for r, (a, b, c) in enumerate(monos)]),
-            _square_matrix(K, dim, [(index[(b, a, c)], r, one) for r, (a, b, c) in enumerate(monos)])]
+    mats = [_PieceMatrix(K, dim, [(r, r, zeta_powers[a]) for r, (a, _, _) in enumerate(monos)]),
+            _PieceMatrix(K, dim, [(index[(c, a, b)], r, one) for r, (a, b, c) in enumerate(monos)]),
+            _PieceMatrix(K, dim, [(index[(b, a, c)], r, one) for r, (a, b, c) in enumerate(monos)])]
     labels = [f"plane-model {label}" for label in ("scaling", "rotation", "swap", "mixer")]
     pair = _unit_norm_pair(K, p)
     # p = 2 has no pair: u^3 + v^3 = 1 in F_4 forces u = 0 or v = 0, since
@@ -311,7 +300,7 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
             block = [index[(t, d - t, c)] for t in range(d + 1)]
             for col, pol in zip(block, blocks[d]):
                 pieces += [(r, col, pol[i:i + k]) for r, i in zip(block, range(0, len(pol), k))]
-        mats.append(_square_matrix(K, dim, pieces))
+        mats.append(_PieceMatrix(K, dim, pieces))
     return RepresentationModule(p=p, m=p + 1, field=K, dim=dim, generators=tuple(mats),
                                 labels=tuple(labels[:len(mats)]))
 
@@ -350,17 +339,15 @@ def decide_irreducibility(R: RepresentationModule, seed: int = 0, budget: int = 
 
 def certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
     """R's verdict from its generators' shapes, without sampling, or None
-    when no premise decides it.  Each generator is tested for diagonality
-    once, and the diagonal generators' entries serve the grading and the
-    weight premise.
+    when no premise decides it.  It reads the generators' pieces
+    (`linalg._pieces`), never their dense rows: each generator is tested
+    for diagonality once (`_diagonal_entries`), and the diagonal
+    generators' entries serve the grading and the weight premise.
 
     Grading premise (reducible): a diagonal D with at least two distinct
     entries, such that every generator's nonzero entry (i, j) has
     D_ii = D_jj.  Each eigenspace of D is then a proper submodule; the
-    witness is that of D_00, re-checked by `is_invariant_subspace`.  A row
-    of grade g is zero off the runs of columns of grade g when its zeros
-    and its nonzero residues on those runs fill it, which counts each
-    entry once at C speed.
+    witness is that of D_00, re-checked by `is_invariant_subspace`.
 
     Weight premise: a diagonal D and a monomial P whose weights are
     distinct.  P e_i is a multiple of e_(pi(i)), so P^t D P^(-t) is
@@ -386,29 +373,63 @@ def certificate(R: RepresentationModule) -> Optional[IrreducibilityVerdict]:
     """
     if R.dim < 2:
         return None
-    k, n, gens = R.field.k, R.dim * R.field.k, R.generators
-    diagonal = [G._is_diagonal() for G in gens]
-    entries = [[row[i * k:i * k + k] for i, row in enumerate(D._rows)] for D in itertools.compress(gens, diagonal)]
+    gens, n = R.generators, R.dim
+    diagonal = [_diagonal_entries(G) for G in gens]
+    entries = [D for D in diagonal if D is not None]
     for grade in entries:
-        spans, start = {}, 0
-        for g, run in itertools.groupby(grade):
-            spans.setdefault(g, []).append((start, start + len(list(run)) * k))
-            start = spans[g][-1][1]
-        if len(spans) > 1 and all(row.count(0) + sum(b - a - row[a:b].count(0) for a, b in spans[g]) == n
-                                  for G, d in zip(gens, diagonal) if not d for row, g in zip(G._rows, grade)):
+        if len(set(grade)) > 1 and all(_keeps_grades(G, grade) for G, D in zip(gens, diagonal) if D is None):
             block = [i for i, g in enumerate(grade) if g == grade[0]]
-            return _reducible(R.field, _unit_rows(R.field, R.dim, block), gens, GRADING_ROUTE)
-    orbits = (list(range(R.dim)) if d else _monomial_columns(P) for P, d in zip(gens, diagonal))
-    weights = bool(entries) and any(_orbit_values_differ(D, back)
-                                    for back in orbits if back is not None for D in entries)
-    jordan = [_is_jordan_block(G) for G in gens]
+            return _reducible(R.field, _unit_rows(R.field, n, block), gens, GRADING_ROUTE)
+    backs = [list(range(n)) if D is not None else _monomial_columns(G) for G, D in zip(gens, diagonal)]
+    weights = any(_orbit_values_differ(D, back) for back in backs if back is not None for D in entries)
+    jordan = [back is None and _is_jordan_block(G) for G, back in zip(gens, backs)]
     if weights or any(jordan):
-        # a Jordan block's edges i -> j > i all follow its superdiagonal path
-        path = [[i + 1] for i in range(R.dim - 1)] + [[]]
-        adjs = [path if J else G._adjacency() for G, J in zip(gens, jordan)]
+        # a Jordan block's edges i -> j > i all follow its superdiagonal
+        # path, and a monomial generator's are i -> back[i]
+        path = [[i + 1] for i in range(n - 1)] + [[]]
+        adjs = [path if J else _adjacency(G) if b is None else [[j] if j != i else [] for i, j in enumerate(b)]
+                for G, b, J in zip(gens, backs, jordan)]
         if len(_strong_components([list(itertools.chain.from_iterable(out)) for out in zip(*adjs)])) == 1:
             return IrreducibilityVerdict("absolutely-irreducible", None, 1, WEIGHT_ROUTE if weights else FLAG_ROUTE)
     return None
+
+
+def _keeps_grades(G, g):
+    """Every nonzero entry (i, j) of G has g[i] == g[j], for grades g.  A
+    piece within its row's run of equal grades is not read."""
+    rows, cols, vals, w = _pieces(G)
+    run = list(itertools.accumulate(map(operator.ne, g, g[:1] + g[:-1])))
+    return all(run[r] == run[c] == run[c + len(v) // w - 1]
+               or not any(any(v[(j - c) * w:(j - c + 1) * w]) for j in range(c, c + len(v) // w) if g[j] != g[r])
+               for r, c, v in zip(rows, cols, vals))
+
+
+def _monomial_columns(G):
+    """The column of each row's one nonzero entry, pi^(-1) for G e_i a
+    multiple of e_(pi(i)); None unless G is monomial.  A piece's first
+    nonzero residue is found, and the rest checked, at C speed."""
+    rows, cols, vals, w = _pieces(G)
+    back = [-1] * G.nrows
+    for r, c, v in zip(rows, cols, vals):
+        i = next(itertools.compress(itertools.count(), v), -1) // w
+        if i >= 0 and (back[r] >= 0 or any(v[i * w + w:])):
+            return None
+        back[r] = c + i if i >= 0 else back[r]
+    return back if sorted(back) == list(range(G.nrows)) else None
+
+
+def _is_jordan_block(G) -> bool:
+    """G is upper unitriangular with no zero on its superdiagonal: one
+    Jordan block, whose invariant subspaces are the flag V_k.  seen[i]
+    counts row i's diagonal 1 and nonzero superdiagonal entry."""
+    rows, cols, vals, w = _pieces(G)
+    seen = [0] * (G.nrows - 1) + [1]
+    for r, c, v in zip(rows, cols, vals):
+        e = (r - c) * w  # where the diagonal entry starts in v
+        if any(v[:max(e, 0)]) or 0 <= e < len(v) and (v[e] != 1 or any(v[e + 1:e + w])):
+            return False
+        seen[r] += (0 <= e < len(v)) + (-w <= e < len(v) - w and any(v[e + w:e + 2 * w]))
+    return seen == [2] * G.nrows
 
 
 def _orbit_values_differ(D, back) -> bool:
@@ -424,28 +445,6 @@ def _orbit_values_differ(D, back) -> bool:
         if len(weights) <= i:
             return False
     return True
-
-
-def _monomial_columns(P):
-    """The column of each row's one nonzero entry, pi^(-1) for P e_i a
-    multiple of e_(pi(i)); None unless P is monomial.  A row's first
-    nonzero residue is found, and the rest of the row checked, at C speed."""
-    k, back = P.field.k, []
-    for row in P._rows:
-        j = next(itertools.compress(itertools.count(), row), -k) // k
-        if j < 0 or any(row[j * k + k:]):
-            return None
-        back.append(j)
-    return back if len(set(back)) == len(back) else None
-
-
-def _is_jordan_block(U) -> bool:
-    """U is upper unitriangular with no zero on its superdiagonal: one
-    Jordan block, whose invariant subspaces are the flag V_k."""
-    k, n = U.field.k, U.nrows
-    one = (1,) + (0,) * (k - 1)
-    return all(not any(row[:i * k]) and row[i * k:i * k + k] == one
-               and (i + 1 == n or any(row[i * k + k:i * k + 2 * k])) for i, row in enumerate(U._rows))
 
 
 def meataxe_decide(R: RepresentationModule, seed: int = 0, budget: int = 200) -> IrreducibilityVerdict:
@@ -543,7 +542,7 @@ def _norton_decide(field, dim, shifted, null, gens):
         return _reducible(field, sub, gens)
     # the dual spin reads the generators' packed rows, the columns of their
     # transposes; a diagonal shifted is its own transpose
-    left = null if shifted._is_diagonal() else shifted.transpose().nullspace()[:1]
+    left = null if _diagonal_entries(shifted) is not None else shifted.transpose().nullspace()[:1]
     dual = spin(field, left, [_Transpose(g) for g in gens])
     if len(dual) < dim:
         ann = FieldMatrix(field, dual).nullspace()

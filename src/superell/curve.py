@@ -30,8 +30,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .ff import (FieldDescriptor, FieldElement, _LogTables, _power, check_budget, lift_to, log_table_estimate,
-                 make_field)
+from .ff import (FieldDescriptor, FieldElement, _binary_power, _LogTables, _polyadd, _polymul, _power, _scale, _trim,
+                 check_budget, lift_to, log_table_estimate, make_field)
 from .poly import Polynomial, is_squarefree
 
 HYPERELLIPTIC = "hyperelliptic"
@@ -291,17 +291,38 @@ def check_automorphism(sigma: CurveAutomorphism, f: Polynomial, m: int, e: int) 
     """Raise InvalidCurveError unless sigma is an automorphism of y^m = f(x)
     of weight e: f(A x) (c x + d)^(m e), the sum over the terms f_n x^n of f
     of f_n (a x + b)^n (c x + d)^(m e - n), is mu^m f(x) as a polynomial over
-    the larger of the two fields; the other must be F_p."""
+    the larger of the two fields; the other must be F_p.  On residues, a
+    power of b + a x is the product of (b^(p^i) + a^(p^i) x^(p^i))^(n_i)
+    over the base-p digits n_i of its exponent, the p^i-th powers of a, b,
+    c and d taken once across the terms."""
     L, F = sigma.mu.field, f.field
     if L.p != F.p or (L.k > 1 and F.k > 1 and L != F):
         raise InvalidCurveError(f"no common field for the map over {L!r} and the curve over {F!r}")
     K = F if F.k > 1 else L
-    a, b, c, d, mu = (lift_to(t, K) for t in (*sigma.abcd, sigma.mu))
-    f, u, v, left = f.lift_coeffs(K), Polynomial(K, [b, a]), Polynomial(K, [d, c]), Polynomial.zero(K)
-    for n, fn in enumerate(f.coeffs):
-        if not fn.is_zero():
-            left = left + (u**n * v**(m * e - n)).scale(fn)
-    if left != f.scale(mu**m):
+    p, k, one = K.p, K.k, [1] + [0] * (K.k - 1)
+    a, b, c, d, mu = (list(lift_to(t, K).coeffs) for t in (*sigma.abcd, sigma.mu))
+    twists = [[_trim(b + a, k), _trim(d + c, k)]]  # the forms with their coefficients to the p^i, by i
+
+    def times(g, h):  # a constant factor only scales the other
+        g, h = (g, h) if len(g) >= len(h) else (h, g)
+        return _polymul(g, h, K) if len(h) > k else _scale(g, h, K) if h else []
+
+    def power(j, n, i=0):  # form j to the n: (b_i + a_i x^(p^i))^(n % p) times the higher digits' powers
+        if i == len(twists):  # an element of F_p is its own p-th power
+            twists.append([[r for t in (g[:k], g[k:]) for r in (_power(K, t, p) if any(t[1:]) else t)]
+                           for g in twists[-1]])
+        y = _binary_power(_trim(twists[i][j][:k] + [0] * (p**i - 1) * k + twists[i][j][k:], k), n % p, times, one)
+        rest = one if n < p else power(j, n // p, i + 1)
+        return rest if y is one else y if rest is one else times(y, rest)
+
+    coeffs = list(f.residues) if F is K else [r for t in f.residues for r in [t] + one[1:]]
+    if len(coeffs) > (m * e + 1) * k:
+        raise ValueError("negative polynomial power")
+    left = []
+    for n in range(len(coeffs) // k):
+        if any(coeffs[n * k:n * k + k]):
+            left = _polyadd(left, _scale(times(power(0, n), power(1, m * e - n)), coeffs[n * k:n * k + k], K), K)
+    if left != _trim(_scale(coeffs, [pow(mu[0], m, p)] if k == 1 else _power(K, mu, m), K), k):
         raise InvalidCurveError("not an automorphism of the curve: f(A x) (c x + d)^(m e) != mu^m f(x)")
 
 

@@ -74,8 +74,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain, compress, count
-from operator import mul, or_
+from itertools import chain, compress, count, repeat
+from operator import lt, mul
 
 from .ff import (_ARRAY_CODES, FieldDescriptor, FieldElement, FieldMismatchError, _apply, _binary_power, _elements,
                  _inverse, _mul_matrix, _pack, _packed_bytes, _polymul, _residues, _scale, _trim, _unpack, frobenius)
@@ -347,17 +347,12 @@ class FieldMatrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def _is_diagonal(self) -> bool:
-        """A square matrix whose off-diagonal entries are all zero, by each row's zeros, counted at C speed."""
-        k, n = self.field.k, self.ncols * self.field.k
-        return self.nrows == self.ncols and all(
-            row.count(0) - row[i * k:i * k + k].count(0) == n - k for i, row in enumerate(self._rows))
-
     def nullspace(self):
         """Deterministic basis of the right kernel, as coordinate tuples."""
         p, k, n = self.field.p, self.field.k, self.ncols
-        if self._is_diagonal():
-            return _unit_rows(self.field, n, [i for i, row in enumerate(self._rows) if not any(row[i * k:i * k + k])])
+        D = _diagonal_entries(self) if self.nrows == n else None
+        if D is not None:
+            return _unit_rows(self.field, n, [i for i, d in enumerate(D) if not any(d)])
         rows, pivots = self._echelon()
         pivot_set = set(pivots)
         basis = []
@@ -410,7 +405,7 @@ class FieldMatrix:
         p, k = F.p, F.k
         rows = self._rows
         blocks = []
-        for comp in _strong_components(self._adjacency()):
+        for comp in _strong_components(_adjacency(self)):
             if len(comp) == 1:
                 i = comp[0]
                 blocks.append([-c % p for c in rows[i][i * k:i * k + k]] + [1] + [0] * (k - 1))
@@ -430,17 +425,6 @@ class FieldMatrix:
         return FieldMatrix(F, _Rows(F, [
             row[:i * k] + tuple([(a - b) % p for a, b in zip(row[i * k:i * k + k], c)]) + row[i * k + k:]
             for i, row in enumerate(self._rows)]))
-
-    def _adjacency(self):
-        """The columns j != i with A[i][j] != 0 (an OR of its residues), for each row i."""
-        n, k = self.ncols, self.field.k
-        out = []
-        for i, row in enumerate(self._rows):
-            nonzero = row[::k]
-            for u in range(1, k):
-                nonzero = map(or_, nonzero, row[u::k])
-            out.append([j for j in compress(range(n), nonzero) if j != i])
-        return out
 
     def _krylov_charpoly(self):
         """det(xI - A) by Krylov blocks, as the flat residues of its
@@ -479,6 +463,60 @@ class FieldMatrix:
                 chi = _polymul(_scale(record, _inverse(F, record[-k:]), F), chi, F)
             acc.flat = [X & coords for X in acc.flat]
         return chi
+
+
+class _PieceMatrix(FieldMatrix):
+    """A square matrix kept as the pieces (r, c, vals) it is built from, as
+    three tuples: flat residues vals, `width` per entry (k, or 1 for F_p
+    values in slot 0), along row r from column c on; pieces are non-empty
+    and disjoint, other entries zero.  Its dense rows are built on first read."""
+
+    __slots__ = ("pieces", "width")
+
+    def __init__(self, field, dim, pieces, width=None):
+        self.field, self.nrows, self.ncols, self._packed = field, dim, dim, {}
+        self.pieces, self.width = tuple(zip(*pieces)) or ((), (), ()), width or field.k
+
+    def __getattr__(self, name):
+        if name != "_rows":
+            raise AttributeError(name)
+        k, w, rows = self.field.k, self.width, [[0] * (self.ncols * self.field.k) for _ in range(self.nrows)]
+        for r, c, v in zip(*self.pieces):
+            rows[r][c * k:(c + len(v) // w) * k:k // w] = v
+        self._rows = tuple(map(tuple, rows))
+        return self._rows
+
+
+def _pieces(M):
+    """The rows, columns, values and width of M's pieces, a dense matrix
+    one piece per row.  Readers scan a piece's residues at C speed, so a
+    piece that holds zeros reads as a sparser one."""
+    if isinstance(M, _PieceMatrix):
+        return (*M.pieces, M.width)
+    return range(M.nrows), (0,) * M.nrows, M._rows, M.field.k
+
+
+def _diagonal_entries(M):
+    """The diagonal entries of a square M, as residue tuples, when every
+    nonzero residue of a piece lies on its diagonal entry; else None."""
+    rows, cols, vals, w = _pieces(M)
+    D = [(0,) * M.field.k] * M.nrows
+    for r, c, v in zip(rows, cols, vals):
+        d = v[(r - c) * w:(r - c + 1) * w] if r >= c else ()
+        if len(v) - v.count(0) != len(d) - d.count(0):
+            return None
+        D[r] = tuple(d) + (0,) * (M.field.k - w) if d else D[r]
+    return D
+
+
+def _adjacency(M):
+    """The columns j != i with M[i][j] != 0, for each row i: the support digraph."""
+    rows, cols, vals, w = _pieces(M)
+    out = [[] for _ in range(M.nrows)]
+    for r, c, v in zip(rows, cols, vals):
+        out[r] += [j for j in compress(range(c, c + len(v) // w), map(any, zip(*[v[u::w] for u in range(w)])))
+                   if j != r]
+    return out
 
 
 class _Transpose:
@@ -591,7 +629,8 @@ class _EchelonAccumulator:
         if nz is None:
             return None
         pc = nz // k
-        row = _scale(vals, _inverse(F, vals[pc * k:pc * k + k]), F)
+        lead = vals[pc * k:pc * k + k]
+        row = vals if lead[0] == 1 and lead.count(0) == k - 1 else _scale(vals, _inverse(F, lead), F)
         V = _packed_lines(F, [row], w)
         # keep earlier rows reduced against the new one: x^b row_i gains
         # e row = sum_u e_u V[u] for e = (-c) x^b, c = row_i[pc]; e moves
@@ -661,7 +700,8 @@ def spin(field: FieldDescriptor, seeds, mats):
 def is_invariant_subspace(basis_rows, mats) -> bool:
     """True when every image M w reduces to zero against span(W).  M w
     reads the columns of M from the first to the last in which some w is
-    nonzero, so a span of a few neighbouring unit vectors packs a few."""
+    nonzero, from the pieces that cross them, so a span of a few
+    neighbouring unit vectors reads a few."""
     if not basis_rows or not mats:
         return True
     F, k = mats[0].field, mats[0].field.k
@@ -671,8 +711,18 @@ def is_invariant_subspace(basis_rows, mats) -> bool:
     acc = _EchelonAccumulator(F, n, n * k * (F.p - 1) ** 2)
     for r in rows:
         acc.insert(_pack(r, acc.w))
-    lo = min(next(compress(count(), r), len(r)) for r in rows) // k * k
-    hi = -(-max(len(r) - next(compress(count(), reversed(r)), len(r)) for r in rows) // k) * k
-    return all(not any(acc.residual(sum(map(mul, r[lo:hi], cols))))
-               for cols in (_packed_lines(F, [row[lo:hi] for row in m._rows], acc.w, columns=True) for m in mats)
-               for r in rows)
+    lo = min(next(compress(count(), r), len(r)) for r in rows) // k
+    hi = max(lo, -(-max(len(r) - next(compress(count(), reversed(r)), len(r)) for r in rows) // k))
+    size = n * k
+
+    def column_lines(M):
+        rs, cs, vs, w = _pieces(M)
+        out = [0] * ((hi - lo) * size)
+        for r, c, v in compress(zip(rs, cs, vs), map(lt, cs, repeat(hi))):
+            a, b = max(c, lo), max(lo, min(c + len(v) // w, hi))
+            for u in range(w):
+                out[(a - lo) * size + r * k + u:(b - lo) * size:size] = v[(a - c) * w + u:(b - c) * w:w]
+        return _packed_lines(F, [out[i:i + size] for i in range(0, len(out), size)], acc.w)
+
+    return all(not any(acc.residual(sum(map(mul, r[lo * k:hi * k], cols))))
+               for cols in map(column_lines, mats) for r in rows)

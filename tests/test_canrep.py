@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superell.canrep as canrep
 from superell.canrep import (
     FLAG_ROUTE,
     GRADING_ROUTE,
@@ -700,8 +701,8 @@ def test_certificate_verdicts_on_drawn_modules_agree_with_the_meataxe(R):
 
 def test_certificate_classifies_each_generator_once(monkeypatch):
     calls = []
-    is_diagonal = FieldMatrix._is_diagonal
-    monkeypatch.setattr(FieldMatrix, "_is_diagonal", lambda self: calls.append(self) or is_diagonal(self))
+    diagonal_entries = canrep._diagonal_entries
+    monkeypatch.setattr(canrep, "_diagonal_entries", lambda G: calls.append(G) or diagonal_entries(G))
     for p, m in [(23, 12), (11, 12), (7, 2)]:
         R = canonical_module(p, m)
         calls.clear()
@@ -711,8 +712,8 @@ def test_certificate_classifies_each_generator_once(monkeypatch):
 
 def test_certificate_reads_a_jordan_block_as_its_superdiagonal_path(monkeypatch):
     calls = []
-    adjacency = FieldMatrix._adjacency
-    monkeypatch.setattr(FieldMatrix, "_adjacency", lambda self: calls.append(self) or adjacency(self))
+    adjacency = canrep._adjacency
+    monkeypatch.setattr(canrep, "_adjacency", lambda G: calls.append(G) or adjacency(G))
     R = canonical_module(167, 2)
     v = certificate(R)
     assert (v.verdict, v.route) == ("absolutely-irreducible", FLAG_ROUTE)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superell.canrep import sl2_generators, zeta_of_order
 from superell.curve import (
@@ -18,6 +19,7 @@ from superell.curve import (
     SuperellipticCurve,
     UnsupportedModelError,
     apply_automorphism,
+    check_automorphism,
     count_infinite_points,
     count_points,
     enumerate_points,
@@ -26,8 +28,8 @@ from superell.curve import (
     point_sort_key,
     _normalize_point,
 )
-from superell.ff import _LogTables, log_table_estimate, make_field
-from superell.poly import Polynomial, roots_in_field
+from superell.ff import _LogTables, lift_to, log_table_estimate, make_field
+from superell.poly import Polynomial, poly_pow, roots_in_field
 
 
 def curve(m, coeffs, p):
@@ -281,6 +283,63 @@ def test_automorphism_is_bijection_on_points():
     for g in (t, s, zeta):
         images = {_normalize_point(apply_automorphism(X, g, P), K) for P in pts}
         assert images == set(pts)
+
+
+def reference_identity(sigma, f, m, e):
+    """f(A x) (c x + d)^(m e) == mu^m f(x), term by term on Polynomials."""
+    K = f.field if f.field.k > 1 else sigma.mu.field
+    a, b, c, d, mu = (lift_to(t, K) for t in (*sigma.abcd, sigma.mu))
+    f, u, v, left = f.lift_coeffs(K), Polynomial(K, [b, a]), Polynomial(K, [d, c]), Polynomial.zero(K)
+    for n, fn in enumerate(f.coeffs):
+        if not fn.is_zero():
+            left = left + (poly_pow(u, n) * poly_pow(v, m * e - n)).scale(fn)
+    return left == f.scale(mu**m)
+
+
+@st.composite
+def maps_and_curves(draw):
+    """A map over F_p or F_(p^2) and y^m = f(x) over F_p: often x^p - x with
+    m | p + 1 and a word in its automorphisms, else random."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    K = make_field(p, draw(st.sampled_from([1, 2])))
+    Fp = make_field(p)
+    element = st.lists(st.integers(0, p - 1), min_size=K.k, max_size=K.k).map(K.element)
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([m for m in range(2, p + 2) if (p + 1) % m == 0]))
+        L = make_field(p, 2)
+        zeta = CurveAutomorphism.root_of_unity(zeta_of_order(L, m), m)
+        word = draw(st.lists(st.sampled_from([*sl2_generators(p), zeta]), min_size=1, max_size=4))
+        sigma = word[0]
+        for g in word[1:]:
+            sigma = sigma.compose(g)
+        e, f = (p + 1) // m, Polynomial(Fp, [0, -1] + [0] * (p - 2) + [1])
+        abcd, mu = [lift_to(t, L) for t in sigma.abcd], lift_to(sigma.mu, L)
+        t = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2).map(L.element))
+        i = draw(st.integers(0, 6))
+        if i < 4:  # a perturbed entry
+            abcd[i] = t
+        elif i < 6 and not t.is_zero():  # (t A, t^e mu) is an automorphism with (A, mu)
+            abcd, mu = [t * x for x in abcd], t**e * mu if i == 4 else t * mu
+        else:
+            return sigma, f, m, e
+        return CurveAutomorphism(abcd, mu), f, m, e
+    f = Polynomial(Fp, draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=9)))
+    mu = draw(element.filter(lambda t: not t.is_zero()))
+    m = draw(st.integers(2, 6))
+    e = -(-max(f.degree, 1) // m) + draw(st.integers(0, 1))
+    return CurveAutomorphism([draw(element) for _ in range(4)], mu), f, m, e
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(maps_and_curves())
+def test_check_automorphism_accepts_exactly_the_maps_that_keep_the_curve(drawn):
+    sigma, f, m, e = drawn
+    try:
+        check_automorphism(sigma, f, m, e)
+        accepted = True
+    except InvalidCurveError:
+        accepted = False
+    assert accepted == reference_identity(sigma, f, m, e)
 
 
 # -- orbits -----------------------------------------------------------------

@@ -6,6 +6,7 @@ from superell import linalg
 from superell.ff import _unpack, make_field
 from superell.linalg import (
     FieldMatrix,
+    _adjacency,
     _EchelonAccumulator,
     _packed_lines,
     _slot_bytes,
@@ -659,7 +660,7 @@ def test_adjacency_is_the_support_of_every_entry(p, k):
         # entries with a single nonzero residue in any plane, so no plane alone decides
         M = FieldMatrix(K, [[[rng.randrange(p) if rng.random() < density else 0 for _ in range(k)]
                              for _ in range(n)] for _ in range(n)])
-        assert M._adjacency() == reference_adjacency(M)
+        assert _adjacency(M) == reference_adjacency(M)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (47, 2), (5, 3), (2, 4)])
