@@ -7,7 +7,10 @@ to det(A) mu^(-j) (a x + b)^i (c x + d)^(m'j - 2 - i) dx / y^j, so it
 keeps each j-block and acts there as det(A) mu^(-j) Sym^(m'j - 2)(A)
 (`_sym_power_columns`).  The vertical map (I, zeta_m) and the SL(2, F_p)
 lifts x -> x + 1 and x -> -1/x generate the module, over F_{p^2}, which
-contains the m-th roots of unity because m | p+1.
+contains the m-th roots of unity because m | p+1.  Field and polynomial
+work is `ff`'s: zeta_m is a power of `ff._primitive_element`, the
+Hermitian mixer's unit pair comes from `ff._norm`, and the MeatAxe
+divides its eigenvalues out of char-poly blocks with `ff._polydivmod`.
 
 Each generator is kept as the pieces its builder makes (a
 `linalg._PieceMatrix`): diagonal entries, single entries or the rows of
@@ -46,12 +49,11 @@ import operator
 import random
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
 from typing import Optional
 
 from .curve import CurveAutomorphism, _artin_schreier_poly, check_automorphism
-from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _norm, _polymul, _power, _prime_divisors, _scale,
-                 _times, _trim, check_budget, is_prime, lift_to, make_field)
+from .ff import (FieldDescriptor, FieldElement, _inverse, _mul_matrix, _norm, _polydivmod, _polymul, _power,
+                 _primitive_element, _scale, _times, _trim, check_budget, is_prime, lift_to, make_field)
 from .linalg import (FieldMatrix, _adjacency, _diagonal_entries, _PieceMatrix, _pieces, _strong_components, _Transpose,
                      _unit_rows, is_invariant_subspace, spin)
 from .poly import Polynomial, roots_in_field
@@ -121,26 +123,15 @@ def zeta_of_order(K: FieldDescriptor, m: int):
     """Deterministic element of exact multiplicative order m in K: the
     first in `elements()` order.
 
-    K^x is cyclic of order q-1, so z -> z^((q-1)/m) maps onto the m-th roots
-    of unity; the first nonzero z whose image h has exact order m gives
-    them all as powers of h, and those of exact order m are h^t with t
-    prime to m.  The first of them is the least residue tuple.  When p - 1
-    divides (q-1)/m, every c in F_p^x has c^((q-1)/m) = 1, so z and c z have
-    the same image: only one z per F_p^x-line is tried, the one whose first
-    nonzero residue is 1.
+    K^x is cyclic of order q-1, so for its generator g
+    (`ff._primitive_element`) h = g^((q-1)/m) has exact order m, and the
+    elements of exact order m are h^t with t prime to m, whichever
+    generator gave h.  The first of them is the least residue tuple.
     """
     Q = K.order - 1
     if Q % m != 0:
         raise ValueError(f"K has no element of order {m}")
-    p, k = K.p, K.k
-    one, primes = K.one().coeffs, list(_prime_divisors(m))
-    if Q // m % (p - 1) == 0:
-        candidates = ((0,) * i + (1,) + rest for i in reversed(range(k))
-                      for rest in itertools.product(range(p), repeat=k - 1 - i))
-    else:
-        candidates = (z.coeffs for z in K.elements() if not z.is_zero())
-    h = next(h for h in (_power(K, z, Q // m) for z in candidates)
-             if all(_power(K, h, m // r) != one for r in primes))
+    h = _power(K, _primitive_element(K).coeffs, Q // m)
     return FieldElement(K, min(tuple(z) for t, z in enumerate(_element_powers(K, h, m)) if gcd(t, m) == 1))
 
 
@@ -306,13 +297,15 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
 
 
 def _unit_norm_pair(K, p: int):
-    """Deterministic u, v in K, both nonzero, with N(u) + N(v) = 1 for the norm N(x) = x^(p+1): the
-    first u in `elements()` order that has a v, and its first v; None when no such pair exists."""
-    units = [z for z in K.elements() if not z.is_zero()]
-    first = {}
-    for v in units:
-        first.setdefault(_norm(K, v.coeffs), v)
-    return next(((u, first[t]) for u in units for t in [(1 - _norm(K, u.coeffs)) % p] if t in first), None)
+    """Deterministic units u, v of K with N(u) + N(v) = 1, N(x) = x^(p+1), or
+    None.  N maps K^x onto F_p^x, so u has a v iff N(u) != 1: u is the first
+    such unit in `elements()` order and v the first of norm 1 - N(u)."""
+    u = next((z for z in itertools.product(range(p), repeat=K.k) if any(z) and _norm(K, z) != 1), None)
+    if u is None:
+        return None
+    t = (1 - _norm(K, u)) % p
+    v = next(z for z in itertools.product(range(p), repeat=K.k) if _norm(K, z) == t)
+    return FieldElement(K, u), FieldElement(K, v)
 
 
 # the routes a verdict can take, as `rep` names them in its provenance
@@ -492,8 +485,8 @@ def _roots_with_multiplicity(field, blocks):
     (multiplicity, coeffs).
 
     A linear factor x - c gives the root c at once; a larger one is scanned
-    for roots and deflated on its own.  Multiplicities add up across the
-    factors.
+    for roots, each divided out by `ff._polydivmod` while it leaves no
+    remainder.  Multiplicities add up across the factors.
     """
     p, k = field.p, field.k
     mults = {}
@@ -502,28 +495,15 @@ def _roots_with_multiplicity(field, blocks):
             lam = tuple([-c % p for c in block[:k]])
             mults[lam] = mults.get(lam, 0) + 1
             continue
-        coeffs = [block[i:i + k] for i in range(0, len(block), k)]
         for lam in roots_in_field(Polynomial._of(field, list(block)), field):
-            # divide lam's factors out, so later roots deflate a shorter quotient
-            rows = _mul_matrix(field, lam.coeffs)
-            mult, (quotient, value) = 0, _deflate(coeffs, rows, p)
-            while not any(value):
-                mult, coeffs = mult + 1, quotient
-                quotient, value = _deflate(coeffs, rows, p)
+            # divide lam's factors out, so later roots divide a shorter quotient
+            linear, mult = [-c % p for c in lam.coeffs] + [1] + [0] * (k - 1), 0
+            quotient, rest = _polydivmod(block, linear, field)
+            while not rest:
+                mult, block = mult + 1, quotient
+                quotient, rest = _polydivmod(block, linear, field)
             mults[lam.coeffs] = mults.get(lam.coeffs, 0) + mult
     return [(mult, FieldElement(field, lam)) for mult, lam in sorted((m, lam) for lam, m in mults.items())]
-
-
-def _deflate(coeffs, rows, p):
-    """Synthetic division by (x - lam) of the polynomial with residue-tuple
-    coefficients, lam given by the rows of its multiplication matrix: the
-    quotient and the value at lam."""
-    quotient = [None] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        quotient[i] = acc
-        acc = [(c + sum(map(mul, r, acc))) % p for c, r in zip(coeffs[i], rows)]
-    return quotient, acc
 
 
 def _norton_decide(field, dim, shifted, null, gens):

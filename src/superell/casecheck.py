@@ -16,7 +16,7 @@ from typing import Optional
 
 from .cartier import classify_p_rank, hasse_witt
 from .curve import SuperellipticCurve
-from .ff import FieldElement, is_prime, primes_up_to
+from .ff import FieldElement, check_budget, is_prime, primes_up_to
 from .poly import Polynomial
 from .ramify import case_equation_check
 
@@ -152,6 +152,18 @@ def aut_bound_ordinary(g: int) -> int:
     return 6 * g * g + 72 * s
 
 
+# Case IV-final prints |G| = p^(4n) - p^(2n) < p^(4n) in decimal, and CPython
+# converts at most 4300 digits by default: an admitted |G| has at most 4299.
+# The largest admitted n at p = 3 is 2252.
+CLOSED_FORM_BUDGET = 10**4299
+
+
+def closed_form_estimate(p: int, n: int):
+    """The work estimate of the case IV-final closed form, as the arguments
+    of `check_budget`: p^(4n), a bound on |G|, as the pair (p, 4n)."""
+    return "case IV-final closed form", (p, 4 * n), "p^(4n), a bound on |G|", CLOSED_FORM_BUDGET
+
+
 def case_closed_forms(case_id: str, params: dict) -> BoundReport:
     """Exact |G| values of the wild-orbit case analyses, with the stated
     inequality chains evaluated on the inputs."""
@@ -209,6 +221,7 @@ def case_closed_forms(case_id: str, params: dict) -> BoundReport:
         p, n = params["p"], params["n"]
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        check_budget(*closed_form_estimate(p, n))
         E = p**n - 1
         if E < 2:
             raise ValueError("E = p^n - 1 must be at least 2 for a nontrivial tame part")

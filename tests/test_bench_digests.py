@@ -2,23 +2,18 @@
 
 `bench/run.py --seed 1` prints a digest of the seed-1 first pass of a
 workload: sha256 over the sha256 of each operation's canonical output, in
-pass order.  This test imports `bench/workloads.py` without changing it,
-runs the same pass in-process and checks the same digest, so a change that
-moves any benchmarked output fails here as well as in the bench.
+pass order.  This test imports `bench/workloads.py` without changing it
+(the `bench_workloads` fixture), runs the same pass in-process and checks
+the same digest, so a change that moves any benchmarked output fails here
+as well as in the bench.
 """
 
-import functools
 import hashlib
-import importlib.util
-import pathlib
-import sys
 
 import pytest
 
 import superell
 import superell.cli  # noqa: F401  (the census entry point)
-
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 FIRST_PASS_DIGESTS = {
     "census": "27f139ee4ee33dee32bf143e9e8d0bae1a3842a417e05f6891eaa89de7c3aef2",
@@ -27,19 +22,8 @@ FIRST_PASS_DIGESTS = {
 }
 
 
-@functools.cache
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the class body runs
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(FIRST_PASS_DIGESTS))
-def test_first_pass_digest_of_seed_1(name):
-    workloads = load_workloads()
-    wl = workloads.WORKLOADS[name](superell)
+def test_first_pass_digest_of_seed_1(name, bench_workloads):
+    wl = bench_workloads.WORKLOADS[name](superell)
     shas = [hashlib.sha256(wl.canonical(wl.call(wl.prepare(inp)))).digest() for inp in next(wl.passes(1))]
-    assert workloads.digest(shas) == FIRST_PASS_DIGESTS[name]
+    assert bench_workloads.digest(shas) == FIRST_PASS_DIGESTS[name]

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from superell import cli, curve as curvemod
+from superell import casecheck, cli, curve as curvemod
 
 
 def run(capsys, argv):
@@ -295,6 +295,27 @@ def test_bounds_case_iv(capsys):
     code, rep, _ = run_json(capsys, ["bounds", "--kind", "case-IV-final", "--p", "3", "--n", "1"])
     assert code == 0
     assert rep["results"]["value"] == 72
+
+
+def test_bounds_case_iv_prints_the_largest_admitted_n(capsys):
+    # 3^(4n) <= 10^4299 at n = 2252, so |G| has 4298 digits, under CPython's
+    # default limit of 4300 on an int printed in decimal
+    n = 2252
+    assert 3 ** (4 * n) <= casecheck.CLOSED_FORM_BUDGET < 3 ** (4 * n + 4)
+    code, out, _ = run(capsys, ["bounds", "--kind", "case-IV-final", "--p", "3", "--n", str(n)])
+    assert code == 0
+    assert out.startswith(f"case-IV-final: |G| = {3 ** (4 * n) - 3 ** (2 * n)}\n")
+
+
+@pytest.mark.parametrize("n", [2253, 1000000])
+def test_bounds_case_iv_refuses_a_larger_n_at_once(capsys, n):
+    # n = 10^6 took 81 s of wall time before it failed printing |G|
+    start = time.process_time()
+    code, out, err = run(capsys, ["bounds", "--kind", "case-IV-final", "--p", "3", "--n", str(n)])
+    elapsed = time.process_time() - start
+    assert (code, out) == (1, "")
+    assert f"work estimate 3^{4 * n} (p^(4n), a bound on |G|) exceeds the budget {casecheck.CLOSED_FORM_BUDGET}" in err
+    assert elapsed < 1, f"refusing n = {n} took {elapsed:.2f} s of CPU"
 
 
 def test_bounds_divisor(capsys):

@@ -12,29 +12,10 @@ module left to the MeatAxe, of dimension 1, needs none either.  The pairs are th
 meataxe benchmark workload, read from `bench/workloads.py`.
 """
 
-import importlib.util
-import pathlib
-import sys
-
 import pytest
 
 from superell import canrep
 from superell.canrep import canonical_module, decide_irreducibility, meataxe_decide
-
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-def meataxe_pairs():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the file runs
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.meataxe_pairs()
-
 
 def spins_of(R, seed, monkeypatch, decide=meataxe_decide):
     """The closure dimension of every `spin` call that `decide` makes
@@ -84,8 +65,8 @@ SPIN_WORK = {
 DECIDE_WORK = {pm: (0, 0) for pm in SPIN_WORK}
 
 
-def test_spin_work_covers_the_benchmark_pairs():
-    assert sorted(SPIN_WORK) == sorted(meataxe_pairs())
+def test_spin_work_covers_the_benchmark_pairs(bench_workloads):
+    assert sorted(SPIN_WORK) == sorted(bench_workloads.meataxe_pairs())
     assert tuple(map(sum, zip(*SPIN_WORK.values()))) == (46, 353)
     assert tuple(map(sum, zip(*DECIDE_WORK.values()))) == (0, 0)
 
