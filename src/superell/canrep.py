@@ -166,21 +166,21 @@ def _pullback_matrix(B, sigma, K):
     a, b, c, d, mu = (list(lift_to(t, K).coeffs) if F is K else [t.coeffs[0]] for t in elements)
     if a == d == one and not any(b) and not any(c):
         scales = _element_powers(F, _inverse(F, mu), B.m)
-        return _PieceMatrix(K, B.dim, [(r, r, scales[j]) for r, (j, _) in enumerate(B.entries)], w)
+        return _PieceMatrix(K, B.dim, range(B.dim), range(B.dim), [scales[j] for j, _ in B.entries], w)
     inv, s = _mul_matrix(F, _inverse(F, mu)), [(x - y) % p for x, y in zip(_times(_mul_matrix(F, a), d, p),
                                                                            _times(_mul_matrix(F, b), c, p))]
-    tops, pieces, start = [B.m_prime * j - 2 for j in range(1, B.m)], [], 0
+    tops, starts, vals = [B.m_prime * j - 2 for j in range(1, B.m)], [], []
     for top, block in zip(tops, _sym_power_columns(_trim(b + a, w), _trim(d + c, w), tops, F)):
         s = _times(inv, s, p)  # det(A) mu^(-j)
         if s != one:
             block = [_scale(pol, s, F) for pol in block]
-        # the residues of every column's X^t coefficient, interleaved, make row t
-        rows = zip(*[pol + [0] * ((top + 1) * w - len(pol)) for pol in block])
+        # row t: every column's X^t residues, interleaved; lists, as short tuples freed en masse stay on free lists
+        rows = map(list, zip(*[pol + [0] * ((top + 1) * w - len(pol)) for pol in block]))
         if w > 1:
             rows = [list(itertools.chain(*zip(*planes))) for planes in zip(*[rows] * w)]
-        pieces += [(start + t, start, row) for t, row in enumerate(rows)]
-        start += top + 1
-    return _PieceMatrix(K, B.dim, pieces, w)
+        vals += rows  # rows start + t, t <= top, from column start: the rows so far
+        starts += [len(starts)] * (len(vals) - len(starts))
+    return _PieceMatrix(K, B.dim, range(len(vals)), starts, vals, w)
 
 
 def _sym_power_columns(f, g, degrees, K):
@@ -271,9 +271,9 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
     index = {mono: r for r, mono in enumerate(monos)}
     one = K.one().coeffs
     zeta_powers = _element_powers(K, zeta_of_order(K, p + 1).coeffs, n + 1)
-    mats = [_PieceMatrix(K, dim, [(r, r, zeta_powers[a]) for r, (a, _, _) in enumerate(monos)]),
-            _PieceMatrix(K, dim, [(index[(c, a, b)], r, one) for r, (a, b, c) in enumerate(monos)]),
-            _PieceMatrix(K, dim, [(index[(b, a, c)], r, one) for r, (a, b, c) in enumerate(monos)])]
+    mats = [_PieceMatrix(K, dim, range(dim), range(dim), [zeta_powers[a] for a, _, _ in monos]),
+            _PieceMatrix(K, dim, [index[(c, a, b)] for a, b, c in monos], range(dim), [one] * dim),
+            _PieceMatrix(K, dim, [index[(b, a, c)] for a, b, c in monos], range(dim), [one] * dim)]
     labels = [f"plane-model {label}" for label in ("scaling", "rotation", "swap", "mixer")]
     pair = _unit_norm_pair(K, p)
     # p = 2 has no pair: u^3 + v^3 = 1 in F_4 forces u = 0 or v = 0, since
@@ -284,14 +284,14 @@ def hermitian_plane_module(p: int) -> RepresentationModule:
         u, v = (t.coeffs for t in pair)
         minus_vp = [-c % p for c in _power(K, v, p)]
         blocks = _sym_power_columns(minus_vp + list(u), list(_power(K, u, p) + v), range(n + 1), K)
-        pieces = []
-        for c in range(n + 1):
-            # the monomials x0^t x1^(d-t) x2^c, whose column t is f^t g^(d-t)
-            d = n - c
-            block = [index[(t, d - t, c)] for t in range(d + 1)]
+        rows, cols, vals = [], [], []
+        for d in range(n, -1, -1):
+            # the monomials x0^t x1^(d-t) x2^(n-d), whose column t is f^t g^(d-t), of degree <= d
+            block = [index[(t, d - t, n - d)] for t in range(d + 1)]
             for col, pol in zip(block, blocks[d]):
-                pieces += [(r, col, pol[i:i + k]) for r, i in zip(block, range(0, len(pol), k))]
-        mats.append(_PieceMatrix(K, dim, pieces))
+                rows[len(rows):], cols[len(cols):] = block[:len(pol) // k], [col] * (len(pol) // k)
+                vals += [pol[i:i + k] for i in range(0, len(pol), k)]
+        mats.append(_PieceMatrix(K, dim, rows, cols, vals))
     return RepresentationModule(p=p, m=p + 1, field=K, dim=dim, generators=tuple(mats),
                                 labels=tuple(labels[:len(mats)]))
 

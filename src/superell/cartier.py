@@ -3,10 +3,12 @@
 For y^2 = f(x) in odd characteristic the matrix of the p-power Frobenius
 acting on H^1(X, O_X) with respect to the classes y/x^i (i = 1..g) has
 (i, j) entry equal to the x^(p*i - j) coefficient of f(x)^((p-1)/2).
-Only that window is read: h = f^(e//2), e = (p-1)/2, is powered on int
-residues through `ff._polymul`, and the last product h*h (or h*(h*f) for
-odd e) is left packed; its g^2 coefficients x^(p*i - j) alone are cut from
-the product's bytes and folded (`ff._fold`), over F_p and F_{p^k} alike.
+Only that window is read.  f is packed once into an int, 2k - 1 slots of
+S bits per coefficient (Kronecker, Harvey 2009), and h = f^(e//2), e =
+(p-1)/2, is powered on it: after each product the high slots fold through
+`_reductions` and one Barrett step (Barrett 1986) takes every slot mod p.
+From the unreduced last product h*h (or h*(h*f) for odd e) one shift and
+mask per row cut the g^2 coefficients x^(p*i - j), which alone are reduced.
 The p-rank is the rank of the g-fold semilinear product
 A * A^(p) * ... * A^(p^(g-1)), where ^(p) raises entries to the p-th
 power, taken by twisted doubling in O(log g) products.  An invertible A
@@ -26,7 +28,7 @@ from . import curve
 # count_points stays bound here for callers that read cartier.count_points;
 # the cross-check itself calls it through the curve module
 from .curve import SuperellipticCurve, UnsupportedModelError, count_points, genus  # noqa: F401
-from .ff import _binary_power, _fold, _kronecker_bytes, _polymul, _slots, check_budget
+from .ff import _binary_power, check_budget
 from .linalg import FieldMatrix, _Rows
 
 
@@ -55,12 +57,12 @@ class PRankClass:
 
 
 # Work `hasse_witt` admits: the deg f (p-1)/2 coefficients of f^((p-1)/2)
-# plus the g^2 entries of its window.  Over F_p on a 2-CPU x86_64 machine
-# (Python 3.11), y^2 = x^41 + x + 1 takes 0.02 s of CPU at p = 1009 (20k
-# coefficients), 1.2 s at p = 10007 (205k), 3.6 s at p = 20011 (410k) and
-# 10 s at p = 40009 (820k): the cost grows like n^1.6.  Above the limit
-# the call is refused before any arithmetic.  The stable product, about
-# g^3 log g, needs no budget of its own: the g^2 term already caps g at 724.
+# plus the g^2 entries of its window.  On a shared 2-CPU x86_64 VM (Python
+# 3.11, CPU best of 3) y^2 = x^41 + x + 1 takes 0.021 s at p = 1009 (20k
+# coefficients), 1.44 s at p = 10007 (205k) and 5.1 s at p = 20011 (410k),
+# against 0.027, 1.70 and 5.1 s with a list round trip per product.  Above
+# the limit the call is refused before any arithmetic.  The stable product,
+# about g^3 log g, needs no budget: the g^2 term already caps g at 724.
 HASSE_WITT_WORK_LIMIT = 2**19
 
 
@@ -78,17 +80,39 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
     if X.m != 2:
         raise UnsupportedModelError("Hasse-Witt recipe implemented for y^2 = f(x)")
     check_budget(*hasse_witt_estimate(X))
-    g, p, e = genus(X), X.p, (X.p - 1) // 2
-    F, f = X.field, X.f.residues
-    k = F.k
-    h = _binary_power(f, e // 2, lambda a, b: _polymul(a, b, F), [1] + [0] * (k - 1))
-    bs, w = _kronecker_bytes(h, h if e % 2 == 0 else _polymul(h, f, F), F)
-    # coefficient n of f^e is the 2k - 1 slots at byte n W; past either end it is 0
-    W, zero = (2 * k - 1) * w, bytes((2 * k - 1) * w)
-    window = b"".join((bs[n * W:n * W + W] or zero) if n >= 0 else zero
-                      for i in range(1, g + 1) for n in range(p * i - 1, p * i - g - 1, -1))
-    entries = _fold(_slots(window, w), F)
-    rows = [tuple(entries[i * g * k:(i + 1) * g * k]) for i in range(g)]
+    g, p, e, d, F, k = genus(X), X.p, (X.p - 1) // 2, X.f.degree, X.field, X.field.k
+    # a product slot sums at most len(h) k residue products, and the fold adds k - 1
+    # more, of high slots reduced first: all stay below x_max = 2^(S-1).  Barrett:
+    # 2^t > x_max p and m = ceil(2^t / p) give floor(x m / 2^t) = floor(x / p), and
+    # x_max m < 2^(2S), so even and odd slots, split apart, reduce in place
+    S = (((d * (e // 2) + 2) * k - 1) * (p - 1) ** 2).bit_length() + 1
+    C, mask, t = (2 * k - 1) * S, (1 << S) - 1, S - 1 + p.bit_length()
+    m = (1 << t) // p + 1
+
+    def feet(width):  # S set bits at the foot of every width-bit field of h f, from 8 fields' bytes
+        return int.from_bytes(sum(mask << width * i for i in range(8)).to_bytes(width, "little")
+                              * (C * (d * (e // 2 + 1) + 1) // (8 * width) + 1), "little")
+
+    folds = [(S * (k + s), sum(r << S * u for u, r in enumerate(red))) for s, red in enumerate(F._reductions or ())]
+    even, comb = feet(2 * S), feet(C) if folds else 0
+    quot = even & even >> t - S  # the low 2S - t bits of a 2S-bit field hold floor(x m / 2^t)
+
+    def barrett(Y):
+        E, O = Y & even, Y >> S & even
+        return E - (E * m >> t & quot) * p | (O - (O * m >> t & quot) * p) << S
+
+    def reduced(Y):
+        for shift, R in folds:
+            H = Y >> shift & comb
+            Y += barrett(H) * R - (H << shift)
+        return barrett(Y)
+
+    f = sum(c << S * (n + n // k * (k - 1)) for n, c in enumerate(X.f.residues))
+    h = _binary_power(f, e // 2, lambda a, b: reduced(a * b), 1)
+    P = h * (h if e % 2 == 0 else reduced(h * f)) << C * g  # f^e x^g: no row starts below x^0
+    offsets = [S * ((2 * k - 1) * q + u) for q in reversed(range(g)) for u in range(k)]
+    rows = [tuple([row >> o & mask for o in offsets])
+            for row in (reduced(P >> C * p * i & (1 << C * g) - 1) for i in range(1, g + 1))]
     labels = tuple([f"y/x^{i}" for i in range(1, g + 1)])
     return HasseWittMatrix(matrix=FieldMatrix(F, _Rows(F, rows)), genus=g, basis_labels=labels)
 

@@ -154,8 +154,8 @@ def aut_bound_ordinary(g: int) -> int:
 
 # Case IV-final prints |G| = p^(4n) - p^(2n) < p^(4n) in decimal, and CPython
 # converts at most 4300 digits by default: an admitted |G| has at most 4299.
-# The largest admitted n at p = 3 is 2252.
-CLOSED_FORM_BUDGET = 10**4299
+# The largest admitted n at p = 3 is 2252.  A refusal shows the pair as 10^4299.
+CLOSED_FORM_BUDGET = (10, 4299)
 
 
 def closed_form_estimate(p: int, n: int):

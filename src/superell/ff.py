@@ -10,8 +10,8 @@ One representation: below the public types an element of F_q, q = p^k,
 is its k residues in [0, p), and a polynomial or vector over F_q is the
 flat list of its entries' residues, k per entry.  `_residues` and
 `_elements` are the one boundary to and from `FieldElement`; an int
-crosses it without becoming one.  The int-list core that `poly`, `linalg`,
-`cartier` and `canrep` share is one residue packer (`_pack`/`_unpack`, at
+crosses it without becoming one.  The int-list core that `poly`, `linalg`
+and `canrep` share is one residue packer (`_pack`/`_unpack`, at
 C speed for every width up to 8 bytes), one polynomial product for every
 F_q, Euclid on flat residue lists (`_polydivmod`, `_polygcd`), and
 products, powers, inverses and norms of single elements, the last two
@@ -53,12 +53,12 @@ class WorkBudgetError(ValueError):
 
 
 def check_budget(what, estimate, unit, budget):
-    """Raise WorkBudgetError when the work estimate exceeds the budget.  A
-    pair (b, e), b >= 2, stands for b^e >= 2^e, compared without forming it."""
-    b, e = estimate if isinstance(estimate, tuple) else (estimate, 1)
-    if e >= budget.bit_length() or b**e > budget:
-        shown = f"{b}^{e}" if isinstance(estimate, tuple) else b
-        raise WorkBudgetError(f"{what} work estimate {shown} ({unit}) exceeds the budget {budget}")
+    """Raise WorkBudgetError when the work estimate exceeds the budget.  Either may be
+    a pair (b, e), b >= 2, shown as b^e; bit lengths refuse a huge b^e before forming it."""
+    (b, e), (B, E) = (x if isinstance(x, tuple) else (x, 1) for x in (estimate, budget))
+    if e * (b.bit_length() - 1) >= E * B.bit_length() or b**e > B**E:
+        shown = ["%d^%d" % x if isinstance(x, tuple) else x for x in (estimate, budget)]
+        raise WorkBudgetError(f"{what} work estimate {shown[0]} ({unit}) exceeds the budget {shown[1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +686,15 @@ def _primitive_element(K):
     and a few powers mod p decide.  Only a candidate that passes is powered
     in K, for the primes r that divide M = (q-1)/(p-1) but not p-1.
     """
-    p, Q, one = K.p, K.order - 1, K.one().coeffs
+    p, k, Q, one = K.p, K.k, K.order - 1, K.one().coeffs
     low = list(_prime_divisors(p - 1))
     high = [r for r in _prime_divisors(Q // (p - 1)) if (p - 1) % r]
-    for g in K.elements():
-        n = _norm(K, g.coeffs)
+    square = k == 2 and p % 2 and pow(_norm(K, (0, 1)), (p - 1) // 2, p) == 1  # t x has norm t^2 N(x): skip it
+    for g in itertools.product(range(1 if square else 0, p), *[range(p)] * (k - 1)):
+        n = _norm(K, g)
         if (n and all(pow(n, (p - 1) // r, p) != 1 for r in low)
-                and all(_power(K, g.coeffs, Q // r) != one for r in high)):
-            return g
+                and all(_power(K, g, Q // r) != one for r in high)):
+            return FieldElement(K, g)
 
 
 _RUN = 256  # elements per int sum in _LogTables.runs, which bounds its memory

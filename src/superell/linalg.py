@@ -466,16 +466,16 @@ class FieldMatrix:
 
 
 class _PieceMatrix(FieldMatrix):
-    """A square matrix kept as the pieces (r, c, vals) it is built from, as
-    three tuples: flat residues vals, `width` per entry (k, or 1 for F_p
-    values in slot 0), along row r from column c on; pieces are non-empty
-    and disjoint, other entries zero.  Its dense rows are built on first read."""
+    """A square matrix kept as the pieces it is built from, in parallel sequences rows,
+    cols, vals: flat residues vals[i], `width` per entry (k, or 1 for F_p values in
+    slot 0), along row rows[i] from column cols[i] on; pieces are non-empty and
+    disjoint, other entries zero.  Its dense rows are built on first read."""
 
     __slots__ = ("pieces", "width")
 
-    def __init__(self, field, dim, pieces, width=None):
+    def __init__(self, field, dim, rows, cols, vals, width=None):
         self.field, self.nrows, self.ncols, self._packed = field, dim, dim, {}
-        self.pieces, self.width = tuple(zip(*pieces)) or ((), (), ()), width or field.k
+        self.pieces, self.width = (rows, cols, vals), width or field.k
 
     def __getattr__(self, name):
         if name != "_rows":

@@ -4,6 +4,7 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superell import cartier
 from superell.cartier import (
@@ -17,7 +18,7 @@ from superell.cartier import (
     semilinear_stable_matrix,
 )
 from superell.curve import SuperellipticCurve, UnsupportedModelError, count_points, genus
-from superell.ff import make_field
+from superell.ff import FieldDescriptor, make_field
 from superell.linalg import FieldMatrix
 from superell.poly import Polynomial, is_squarefree, poly_pow
 
@@ -164,24 +165,64 @@ def test_window_matches_full_power(p):
         assert hasse_witt(X).matrix == full_power_matrix(X)
 
 
+def schoolbook_power_matrix(X):
+    """Entries read from f^((p-1)/2) formed by schoolbook products on
+    FieldElements, x^n with n < 0 or past the end read as 0."""
+    K, p, g = X.field, X.p, genus(X)
+    fpow = [K.one()]
+    for _ in range((p - 1) // 2):
+        out = [K.zero()] * (len(fpow) + X.f.degree)
+        for i, a in enumerate(fpow):
+            for j, b in enumerate(X.f.coeffs):
+                out[i + j] = out[i + j] + a * b
+        fpow = out
+    rows = [[fpow[n] if 0 <= n < len(fpow) else K.zero() for n in range(p * i - 1, p * i - g - 1, -1)]
+            for i in range(1, g + 1)]
+    return FieldMatrix(K, rows)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_fp2_matrix_matches_a_fieldelement_schoolbook_power(p):
-    # f^((p-1)/2) by schoolbook products on FieldElements, read in full
     rng = random.Random(300 + p)
     K = make_field(p, 2)
     for deg in (5, 6, 7, 8, 9):
         X = SuperellipticCurve(2, sample_squarefree(rng, K, deg))
-        fpow = [K.one()]
-        for _ in range((p - 1) // 2):
-            out = [K.zero()] * (len(fpow) + deg)
-            for i, a in enumerate(fpow):
-                for j, b in enumerate(X.f.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            fpow = out
-        g = genus(X)
-        rows = [[fpow[n] if 0 <= n < len(fpow) else K.zero() for n in range(p * i - 1, p * i - g - 1, -1)]
-                for i in range(1, g + 1)]
-        assert hasse_witt(X).matrix == FieldMatrix(K, rows)
+        assert hasse_witt(X).matrix == schoolbook_power_matrix(X)
+
+
+# F_p for six primes, F_9, F_25, F_49, F_27 and F_125; at p = 3, e//2 = 0 and
+# the chain is the packed f alone
+PACKED_CHAIN_FIELDS = [(3, 1), (5, 1), (7, 1), (53, 1), (307, 1), (1009, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+
+
+@st.composite
+def packed_chain_curves(draw):
+    """y^2 = f(x) with deg f 1 to 14 (genus 0 to 6): any nonzero leading
+    coefficient, any f(0), f squarefree."""
+    p, k = draw(st.sampled_from(PACKED_CHAIN_FIELDS))
+    residues = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    deg = draw(st.integers(1, 14))
+    coeffs = draw(st.lists(residues, min_size=deg, max_size=deg)) + [draw(residues.filter(any))]
+    f = Polynomial(make_field(p, k), coeffs)
+    assume(is_squarefree(f))
+    return SuperellipticCurve(2, f)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(packed_chain_curves())
+def test_packed_chain_matches_the_reference_powers(X):
+    want = full_power_matrix(X) if X.field.k == 1 else schoolbook_power_matrix(X)
+    assert hasse_witt(X).matrix == want
+
+
+# the widest slots S at which hasse_witt runs in about half a second, one case
+# per k, against poly_pow: S = 49 over F_60013, 45 over F_(20011^2) and 43 over
+# F_(12007^3), built on x^3 + x + 1 since the pinned modulus search takes 49 s there
+@pytest.mark.parametrize("p, k, modulus", [(60013, 1, None), (20011, 2, None), (12007, 3, (1, 1, 0, 1))])
+def test_packed_chain_at_the_widest_slots(p, k, modulus):
+    K = FieldDescriptor(p, k, modulus) if modulus else make_field(p, k)
+    X = SuperellipticCurve(2, sample_squarefree(random.Random(p), K, 3))
+    assert hasse_witt(X).matrix == full_power_matrix(X)
 
 
 def random_matrix(rng, F, nrows, ncols):

@@ -301,7 +301,8 @@ def test_bounds_case_iv_prints_the_largest_admitted_n(capsys):
     # 3^(4n) <= 10^4299 at n = 2252, so |G| has 4298 digits, under CPython's
     # default limit of 4300 on an int printed in decimal
     n = 2252
-    assert 3 ** (4 * n) <= casecheck.CLOSED_FORM_BUDGET < 3 ** (4 * n + 4)
+    b, e = casecheck.CLOSED_FORM_BUDGET
+    assert 3 ** (4 * n) <= b ** e < 3 ** (4 * n + 4)
     code, out, _ = run(capsys, ["bounds", "--kind", "case-IV-final", "--p", "3", "--n", str(n)])
     assert code == 0
     assert out.startswith(f"case-IV-final: |G| = {3 ** (4 * n) - 3 ** (2 * n)}\n")
@@ -314,7 +315,9 @@ def test_bounds_case_iv_refuses_a_larger_n_at_once(capsys, n):
     code, out, err = run(capsys, ["bounds", "--kind", "case-IV-final", "--p", "3", "--n", str(n)])
     elapsed = time.process_time() - start
     assert (code, out) == (1, "")
-    assert f"work estimate 3^{4 * n} (p^(4n), a bound on |G|) exceeds the budget {casecheck.CLOSED_FORM_BUDGET}" in err
+    assert casecheck.CLOSED_FORM_BUDGET == (10, 4299)
+    assert f"work estimate 3^{4 * n} (p^(4n), a bound on |G|) exceeds the budget 10^4299" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
     assert elapsed < 1, f"refusing n = {n} took {elapsed:.2f} s of CPU"
 
 

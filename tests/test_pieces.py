@@ -124,7 +124,7 @@ def verdict(v):
 @given(piece_modules())
 def test_pieces_read_as_their_dense_rows(drawn):
     K, dim, gens, vector, units, grade = drawn
-    pieced = [_PieceMatrix(K, dim, pieces, w) for pieces, w, _ in gens]
+    pieced = [_PieceMatrix(K, dim, *([piece[i] for piece in pieces] for i in range(3)), w) for pieces, w, _ in gens]
     dense = [FieldMatrix(K, _Rows(K, rows)) for _, _, rows in gens]
     bases = [_Rows(K, [tuple(vector)]), _unit_rows(K, dim, units)]
     # the readers, the certificate and the invariance test read the pieces alone
@@ -141,12 +141,12 @@ def test_pieces_read_as_their_dense_rows(drawn):
 
 def test_a_piece_matrix_builds_its_rows_once_and_compares_as_dense():
     K = make_field(5, 2)
-    P = _PieceMatrix(K, 3, [(0, 1, [1, 2]), (2, 0, [3, 0, 0, 0, 4, 1])])
+    P = _PieceMatrix(K, 3, [0, 2], [1, 0], [[1, 2], [3, 0, 0, 0, 4, 1]])
     rows = P._rows
     assert P._rows is rows
     assert P == FieldMatrix(K, [[0, K.element([1, 2]), 0], [0, 0, 0], [3, 0, K.element([4, 1])]])
     assert hash(P) == hash(FieldMatrix(K, P.rows))
-    Fp = _PieceMatrix(K, 2, [(1, 0, [2, 3])], width=1)
+    Fp = _PieceMatrix(K, 2, [1], [0], [[2, 3]], width=1)
     assert Fp._rows == ((0, 0, 0, 0), (2, 0, 3, 0))
 
 
