@@ -34,6 +34,7 @@ from .curve import (
     enumerate_points,
     genus,
     orbit_partition,
+    point_counts,
 )
 from .cartier import (
     CrosscheckReport,

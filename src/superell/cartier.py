@@ -67,8 +67,10 @@ HASSE_WITT_WORK_LIMIT = 2**19
 
 
 def hasse_witt_estimate(X: SuperellipticCurve):
-    """The work estimate of `hasse_witt`, as the arguments of `check_budget`."""
-    return ("Hasse-Witt", X.f.degree * ((X.p - 1) // 2) + genus(X) ** 2,
+    """The work estimate of `hasse_witt`, as the arguments of `check_budget`:
+    at genus 0 no coefficient is formed, so it is 0."""
+    g = genus(X)
+    return ("Hasse-Witt", (X.f.degree * ((X.p - 1) // 2) if g else 0) + g**2,
             "deg f (p-1)/2 coefficients + g^2 entries", HASSE_WITT_WORK_LIMIT)
 
 
@@ -81,6 +83,8 @@ def hasse_witt(X: SuperellipticCurve) -> HasseWittMatrix:
         raise UnsupportedModelError("Hasse-Witt recipe implemented for y^2 = f(x)")
     check_budget(*hasse_witt_estimate(X))
     g, p, e, d, F, k = genus(X), X.p, (X.p - 1) // 2, X.f.degree, X.field, X.field.k
+    if g == 0:  # the window is empty: f is not powered
+        return HasseWittMatrix(matrix=FieldMatrix(F, _Rows(F, [])), genus=0, basis_labels=())
     # a product slot sums at most len(h) k residue products, and the fold adds k - 1
     # more, of high slots reduced first: all stay below x_max = 2^(S-1).  Barrett:
     # 2^t > x_max p and m = ceil(2^t / p) give floor(x m / 2^t) = floor(x / p), and

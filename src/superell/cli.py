@@ -99,7 +99,7 @@ def cmd_classify(args) -> int:
     if X.m == 2:
         check_budget(*cartier.hasse_witt_estimate(X))
     g = curvemod.genus(X)
-    counts = [curvemod.count_points(X, e) for e in e_list]
+    counts = curvemod.point_counts(X, e_list)
     results = {
         "curve": {
             "p": X.p,

@@ -13,7 +13,10 @@ are K-rational.
 Point counts and point sets read every value f(x) from the discrete-log
 tables of F_{p^e} (`ff._LogTables`), on int residues: a nonzero value is
 an m-th power exactly when gcd(m, q-1) divides its logarithm, and the
-logarithm of y^m = f(x) gives y.
+logarithm of y^m = f(x) gives y.  `point_counts` takes every count of a
+command, one pass per e; on a curve over F_p the count over F_p rides on
+the first larger field's pass, whose values at the powers of g^M, M =
+(q-1)/(p-1), are f on F_p^x.  `count_points` is its one-e entry.
 
 ``kind`` is a derived label, not a parameter: ``hyperelliptic`` when
 m = 2 (the Frobenius-matrix machinery applies), ``artin-schreier-quotient``
@@ -173,25 +176,18 @@ def _value_logs(X: SuperellipticCurve, e: int):
     return K, _LogTables(K, X.f)
 
 
-def count_points(X: SuperellipticCurve, e: int) -> PointCount:
-    """Exact rational-point count of the smooth model over F_{p^e}.
-
-    Affine fibers are counted through the m-th power character: a nonzero
-    value f(x) contributes nf = gcd(m, q-1) points when it is an m-th power
-    in F_q^x, that is a g^(nf t), and none otherwise; f(x) = 0 contributes
-    one point.  A table chi of the character reads the narrow indices z of
-    the values from `ff._LogTables`: 9 bytes per element of F_q in all (13
-    in wide words).  The Weil interval is asserted on every count.
-    """
-    K, tables = _value_logs(X, e)
-    q = K.order
-    nf = math.gcd(X.m, q - 1)
-    chi = array("B" if nf < 256 else "I", [0]) * q
-    any(map(chi.__setitem__, memoryview(tables.narrows)[::nf], itertools.repeat(nf)))  # a scatter at C speed
+def _character(narrows, nf: int, size: int):
+    """nf at the narrow indices of the g^(nf t), 1 at 0, and 0 elsewhere."""
+    chi = array("B" if nf < 256 else "I", [0]) * size
+    any(map(chi.__setitem__, narrows[::nf], itertools.repeat(nf)))  # a scatter at C speed
     chi[0] = 1
-    total = sum(map(chi.__getitem__, tables.values()))
-    total += count_infinite_points(X, K)
-    g = genus(X)
+    return chi
+
+
+def _point_count(X: SuperellipticCurve, e: int, affine: int, K: FieldDescriptor) -> PointCount:
+    """The count over K = F_{p^e} with `affine` affine points."""
+    total = affine + count_infinite_points(X, K)
+    q, g = K.order, genus(X)
     if (total - q - 1) ** 2 > 4 * g * g * q:
         raise AssertionError("computed count violates the Weil interval")
     status = None
@@ -206,6 +202,54 @@ def count_points(X: SuperellipticCurve, e: int) -> PointCount:
         else:
             status = "neither"
     return PointCount(e=e, count=total, status=status, n=n)
+
+
+def point_counts(X: SuperellipticCurve, es) -> list:
+    """Exact rational-point counts of the smooth model over F_{p^e}, one
+    PointCount per entry of es, in its order.
+
+    Affine fibers are counted through the m-th power character: a nonzero
+    value f(x) contributes nf = gcd(m, q-1) points when it is an m-th power
+    in F_q^x, that is a g^(nf t), and none otherwise; f(x) = 0 contributes
+    one point.  A table chi of the character reads the narrow indices z of
+    the values from `ff._LogTables`: 9 bytes per element of F_q in all (13
+    in wide words).  Each e takes one pass over its own tables, except
+    e = 1 on a curve over F_p beside a larger e: the first larger field's
+    pass counts it too.  Its values at i = M t, M = (q-1)/(p-1), are f on
+    F_p^x = {h^t}, h = g^M; their narrow indices are the constants below
+    p, so a p-entry table of the F_p character reads them, and f(0) and the
+    points at infinity complete the count.  The Weil interval is asserted
+    on every count.
+    """
+    F = X.field
+    counts = {}
+    fold = F.k == 1 and 1 in es and max(es) > 1
+    for e in sorted(set(es)):
+        if e == 1 and fold:
+            continue
+        K, tables = _value_logs(X, e)
+        q = K.order
+        chi = _character(memoryview(tables.narrows), math.gcd(X.m, q - 1), q)
+        M, chi1 = (q - 1) // (X.p - 1), None
+        if fold and 1 not in counts:
+            chi1 = _character(memoryview(tables.narrows)[::M], math.gcd(X.m, X.p - 1), X.p)
+        del tables.narrows  # no narrow index of a power is read again: the pass holds 5 bytes per element, not 9
+        if chi1 is None:
+            affine = sum(map(chi.__getitem__, tables.values()))
+        else:
+            affine, affine1, i0 = chi[tables.f0], chi1[tables.f0], 0
+            for run in tables.runs():
+                affine += sum(map(chi.__getitem__, run))
+                affine1 += sum(map(chi1.__getitem__, run[-i0 % M::M]))
+                i0 += len(run)
+            counts[1] = _point_count(X, 1, affine1, F)
+        counts[e] = _point_count(X, e, affine, K)
+    return [counts[e] for e in es]
+
+
+def count_points(X: SuperellipticCurve, e: int) -> PointCount:
+    """The rational-point count of the smooth model over F_{p^e}."""
+    return point_counts(X, [e])[0]
 
 
 def enumerate_points(X: SuperellipticCurve, e: int):

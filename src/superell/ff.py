@@ -28,7 +28,8 @@ reduces the k - 1 high slots of each coefficient through `_reductions` and
 takes every residue mod p; for k = 1 it is the reduction mod p alone.
 
 A primitive element of F_q is found through its norm, which rejects most
-candidates with one k x k determinant, in closed form for k = 2.
+candidates with one k x k determinant, in closed form for k = 2; there a
+survivor's remaining tests power g^(p-1), whose order divides p + 1.
 """
 
 from __future__ import annotations
@@ -427,13 +428,14 @@ class FieldDescriptor:
 
 
 def _smallest_irreducible(F: FieldDescriptor, k: int):
-    """Lexicographically smallest monic irreducible of degree k over the
-    prime field F.
+    """Lexicographically smallest monic irreducible of degree k >= 2 over
+    the prime field F.
 
     Candidate vectors (c_0, ..., c_{k-1}) are scanned in ascending tuple
-    order, constant term most significant.
+    order, constant term most significant.  The scan starts at c_0 = 1:
+    every candidate with c_0 = 0 is divisible by x.
     """
-    for low in itertools.product(range(F.p), repeat=k):
+    for low in itertools.product(range(1, F.p), *[range(F.p)] * (k - 1)):
         cand = list(low) + [1]
         if _is_irreducible(cand, F):
             return tuple(cand)
@@ -684,7 +686,10 @@ def _primitive_element(K):
     For a prime r | p-1, g^((q-1)/r) = N(g)^((p-1)/r): g passes for those r
     exactly when its norm is a primitive root mod p, which one determinant
     and a few powers mod p decide.  Only a candidate that passes is powered
-    in K, for the primes r that divide M = (q-1)/(p-1) but not p-1.
+    in K, for the primes r that divide M = (q-1)/(p-1) but not p-1.  At
+    k = 2 that power is u^((p+1)/r) for u = g^(p-1) = conj(g)^2 / N(g),
+    where conj(v0 + v1 x) = v0 + v1 (c1 - x) for the modulus x^2 = c0 + c1 x:
+    one product and a scaling replace (p-1)/r more bits of exponent.
     """
     p, k, Q, one = K.p, K.k, K.order - 1, K.one().coeffs
     low = list(_prime_divisors(p - 1))
@@ -692,8 +697,13 @@ def _primitive_element(K):
     square = k == 2 and p % 2 and pow(_norm(K, (0, 1)), (p - 1) // 2, p) == 1  # t x has norm t^2 N(x): skip it
     for g in itertools.product(range(1 if square else 0, p), *[range(p)] * (k - 1)):
         n = _norm(K, g)
-        if (n and all(pow(n, (p - 1) // r, p) != 1 for r in low)
-                and all(_power(K, g, Q // r) != one for r in high)):
+        if not n or any(pow(n, (p - 1) // r, p) == 1 for r in low):
+            continue
+        u, order = g, Q
+        if k == 2:
+            conj, inv = ((g[0] + g[1] * K._reductions[0][1]) % p, -g[1] % p), pow(n, -1, p)
+            u, order = [a * inv % p for a in _times(_mul_matrix(K, conj), conj, p)], p + 1
+        if all(_power(K, u, order // r) != one for r in high):
             return FieldElement(K, g)
 
 
@@ -732,9 +742,10 @@ class _LogTables:
     must be nonzero.
 
     The walk over g^i fills one block per a < M = (q-1)/(p-1): the norm
-    h = g^M is a primitive root of F_p, so the residues of g^(a + M b) =
-    h^b g^a are those of g^a times h^b, rotations of the powers of h, read
-    with w-bit slots from one int; so an F_p coefficient h^b has log M b.
+    h = g^M = N(g), taken by `_norm`, is a primitive root of F_p, so the
+    residues of g^(a + M b) = h^b g^a are those of g^a times h^b, rotations
+    of the powers of h, read with w-bit slots from one int; so an F_p
+    coefficient h^b has log M b.
     """
 
     __slots__ = ("field", "s", "exp", "narrows", "groups", "f0")
@@ -753,7 +764,7 @@ class _LogTables:
         code, M = _ARRAY_CODES[w // 8], Q // (p - 1)
         g = _primitive_element(K)
         rows = _mul_matrix(K, g.coeffs)
-        h = _power(K, g.coeffs, M)[0]
+        h = _norm(K, g.coeffs)
         hpow, hlog, c = array(code), array("i", [-1]) * p, 1
         for b in range(p - 1):
             hpow.append(c)

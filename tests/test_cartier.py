@@ -286,6 +286,11 @@ def test_work_budget_admits_p_10007_and_refuses_the_silent_cases(monkeypatch):
     for coeffs, p in (([0, -1, 0, 0, 0, 1], 1000003), ([0, 1] + [0] * 19999 + [1], 7)):
         with pytest.raises(ValueError, match=f"exceeds the budget {HASSE_WITT_WORK_LIMIT}"):
             hasse_witt(hyper(coeffs, p))
+    # genus 0 forms no coefficient, so no prime is refused for it
+    conic = hyper([1, 0, 1], 1000003)
+    assert cartier.hasse_witt_estimate(conic)[1] == 0
+    H = hasse_witt(conic)
+    assert (H.genus, H.matrix.nrows, H.basis_labels) == (0, 0, ())
 
 
 # -- cross-checks ------------------------------------------------------------

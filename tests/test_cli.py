@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import time
 from importlib import resources
@@ -188,13 +189,12 @@ def test_classify_refuses_a_degree_million_curve_within_two_seconds(capsys):
 def test_classify_asserts_the_manin_congruence(capsys, monkeypatch, curve, e):
     # the true counts pass, for every e counted; one point too many does not
     assert run(capsys, ["classify", curve, "--e", "1,2,3"])[0] == 0
-    count_points = curvemod.count_points
+    point_counts = curvemod.point_counts
 
-    def one_too_many(X, n):
-        pc = count_points(X, n)
-        return dataclasses.replace(pc, count=pc.count + 1) if n == 2 else pc
+    def one_too_many(X, es):
+        return [dataclasses.replace(pc, count=pc.count + 1) if pc.e == 2 else pc for pc in point_counts(X, es)]
 
-    monkeypatch.setattr(curvemod, "count_points", one_too_many)
+    monkeypatch.setattr(curvemod, "point_counts", one_too_many)
     with pytest.raises(AssertionError, match="Manin"):
         cli.main(["classify", curve, "--e", e])
 
@@ -211,17 +211,48 @@ def test_classify_inconsistent_twist_exits_2(capsys):
     ("y^2 = x^5 - 2*x mod 5", 2, [1, 2]),
 ])
 def test_classify_counts_over_fp2_only_for_superspecial(capsys, monkeypatch, curve, code, counted):
+    # classify reads its --e list in one call; the cross-check's count_points goes through it too
     seen = []
-    count_points = curvemod.count_points
+    point_counts = curvemod.point_counts
 
-    def recording(X, e):
-        seen.append(e)
-        return count_points(X, e)
+    def recording(X, es):
+        seen.extend(es)
+        return point_counts(X, es)
 
-    monkeypatch.setattr(curvemod, "count_points", recording)
+    monkeypatch.setattr(curvemod, "point_counts", recording)
     got, rep, _ = run_json(capsys, ["classify", curve, "--e", "1"])
     assert (got, seen) == (code, counted)
     assert rep["results"]["superspecial_consistent"] is (code == 0)
+
+
+def test_classify_builds_one_set_of_tables_for_e_1_and_2(capsys, monkeypatch):
+    # the F_p count is read from the F_(p^2) pass
+    built = []
+    tables = curvemod._LogTables
+    monkeypatch.setattr(curvemod, "_LogTables", lambda K, f: built.append(K.k) or tables(K, f))
+    expr = "y^2 = x^7 + 3*x + 1 mod 31"
+    code, rep, _ = run_json(capsys, ["classify", expr, "--e", "1,2"])
+    assert (code, built) == (0, [2])
+    X = cli.parse_curve(expr)
+    assert [c["count"] for c in rep["results"]["counts"]] == [curvemod.count_points(X, e).count for e in (1, 2)]
+
+
+def test_classify_genus_0_forms_no_hasse_witt_power(capsys):
+    # the 0 x 0 matrix took 2.7 s of CPU when f was powered to (p-1)/2 at p = 200003
+    argv = ["classify", "y^2 = x^2 + 1 mod 200003", "--e", "1"]
+    start = time.process_time()
+    code, out, _ = run(capsys, argv)
+    code_json, out_json, _ = run(capsys, argv + ["--json"])
+    elapsed = time.process_time() - start
+    assert (code, code_json) == (0, 0)
+    assert out == ("curve: y^2 = x^2 + 1 over F_200003  [hyperelliptic]\n"
+                   "genus: 0\n"
+                   "points over F_200003^1: 200004\n"
+                   "p-rank: 0 of 0  -> ordinary\n"
+                   "count consistency with verdict: True\n")
+    assert hashlib.sha256(out_json.encode()).hexdigest() == (
+        "a0745f4eed2ba08558bcfff499493b7c42983a769888c29daa452a9a143e1412")
+    assert elapsed < 0.5, f"two genus-0 classify commands took {elapsed:.2f} s of CPU"
 
 
 def test_classify_general_model(capsys):

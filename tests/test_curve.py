@@ -25,6 +25,7 @@ from superell.curve import (
     enumerate_points,
     genus,
     orbit_partition,
+    point_counts,
     point_sort_key,
     _normalize_point,
 )
@@ -486,18 +487,39 @@ def test_count_points_leaves_the_inverse_table_unbuilt(monkeypatch):
 
 
 def test_count_points_traced_peak_stays_within_the_documented_bytes():
-    # the unit string of the tables' estimate states their bytes per element
+    # the unit string of the tables' estimate states their bytes per element;
+    # the (1, 2) pass reads the F_p count from the same tables
     per_element = int(re.search(r"(\d+) bytes each", log_table_estimate(47, 2)[2])[1])
     for p in (47, 211):
         X = curve(2, [5, 0, 1, 0, 0, 0, 0, 0, 0, 1], p)
-        count_points(X, 2)
-        tracemalloc.start()
-        try:
-            count_points(X, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= per_element * p**2 + 16 * 1024, (p, peak)
+        for es in ([2], [1, 2]):
+            point_counts(X, es)
+            tracemalloc.start()
+            try:
+                point_counts(X, es)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_element * p**2 + 16 * 1024, (p, es, peak)
+
+
+# (e-list, largest p) pairs: every p <= 47 with p^max(e) at most 47^2
+ONE_PASS_CASES = [([1], 47), ([2], 47), ([1, 2], 47), ([1, 3], 13), ([1, 2, 3], 13), ([2, 4], 7)]
+
+
+@pytest.mark.parametrize("es, top", ONE_PASS_CASES)
+def test_one_pass_counts_equal_separate_passes(es, top):
+    # e = 1 beside a larger e is read from that field's pass; every other e has its own
+    rng = random.Random(sum(10**i * e for i, e in enumerate(es)))
+    for p in (3, 5, 7, 11, 13, 23, 47):
+        if p > top:
+            continue
+        for m in range(2, 7):
+            if math.gcd(m, p) > 1:
+                continue
+            for degree in (1, 2, 3, 6):
+                X = random_curve(rng, m, make_field(p), degree)
+                assert point_counts(X, es) == [count_points(X, e) for e in es], (p, m, X)
 
 
 def digest(items):

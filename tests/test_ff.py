@@ -361,6 +361,53 @@ def test_primitive_element_of_f_2003_squared_skips_the_square_norm_line():
     assert min(readings) < 0.5e-3, f"_primitive_element(F_(2003^2)) took {min(readings) * 1e3:.2f} ms of CPU"
 
 
+def plain_quadratic_generator(K):
+    """The first nonzero g = v0 + v1 x in elements() order with g^((q-1)/r)
+    != 1 for every prime r | q-1, on int pairs mod x^2 = c0 + c1 x.  A power
+    of g = v1 x on the first line is v1^E x^E, x^E formed once per E."""
+    p, Q = K.p, K.order - 1
+    c0, c1 = -K.modulus[0] % p, -K.modulus[1] % p
+
+    def mul(a, b):
+        t = a[1] * b[1]
+        return (a[0] * b[0] + t * c0) % p, (a[0] * b[1] + a[1] * b[0] + t * c1) % p
+
+    def power(a, e):
+        result = (1, 0)
+        while e:
+            result, a, e = mul(result, a) if e & 1 else result, mul(a, a), e >> 1
+        return result
+
+    exps = [Q // r for r in sympy.primefactors(Q)]
+    x_to = [power((0, 1), E) for E in exps]
+    for g in itertools.product(range(p), repeat=2):
+        if g == (0, 0):
+            continue
+        if g[0] == 0:
+            powers = ((pow(g[1], E, p) * a % p, pow(g[1], E, p) * b % p) for E, (a, b) in zip(exps, x_to))
+        else:
+            powers = (power(g, E) for E in exps)
+        if all(y != (1, 0) for y in powers):
+            return g
+
+
+def test_primitive_element_at_k_2_is_the_plain_search_for_every_p_below_2100():
+    # the search powers u = g^(p-1) = conj(g)^2 / N(g) to (p+1)/r at k = 2
+    for p in primes_up_to(2099):
+        K = make_field(p, 2)
+        assert _primitive_element(K).coeffs == plain_quadratic_generator(K), p
+
+
+def test_make_field_12007_cubed_skips_the_constant_term_zero():
+    # every candidate with c_0 = 0 is divisible by x; scanning them took 49 s
+    start = time.process_time()
+    K = make_field(12007, 3)
+    elapsed = time.process_time() - start
+    assert K.modulus == (1, 0, 1, 1)  # x^3 + x^2 + 1; x^3 + 1, the one candidate before it, has the root -1
+    assert gf_irreducible_p([ZZ(1), ZZ(1), ZZ(0), ZZ(1)], 12007, ZZ)
+    assert elapsed < 0.5, f"make_field(12007, 3) took {elapsed:.2f} s of CPU"
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_pinned_modulus_is_the_least_irreducible_by_sympy(p, k):
